@@ -5,7 +5,7 @@
 //! Newton-step leaf values `((K−1)/K) · Σr / Σ|r|(1−|r|)`.
 
 use crate::model::{argmax, softmax, Classifier};
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Presort, RegressionTree, TreeParams};
 use crate::{scratch, Matrix};
 use rand::RngCore;
 
@@ -92,6 +92,8 @@ impl Classifier for GradientBoostingClassifier {
             f[row * k..(row + 1) * k].copy_from_slice(&self.base);
         }
 
+        // Every tree splits the same matrix: sort its features once.
+        let mut presort = Presort::new(x);
         let mut residuals = vec![0.0f64; n];
         let mut p = scratch::take(k);
         for _ in 0..self.params.n_rounds {
@@ -105,7 +107,7 @@ impl Classifier for GradientBoostingClassifier {
                     residuals[row] = target - p[class];
                 }
                 let kf = k as f64;
-                let tree = RegressionTree::fit(x, &residuals, tree_params, move |vals| {
+                let tree = presort.fit(&residuals, tree_params, move |vals| {
                     // Friedman's multiclass Newton step.
                     let num: f64 = vals.iter().sum();
                     let den: f64 = vals.iter().map(|r| r.abs() * (1.0 - r.abs())).sum();
@@ -226,5 +228,58 @@ mod tests {
             crate::metrics::accuracy(&y, &gb.predict(&x))
         };
         assert!(fit_acc(25) >= fit_acc(2) - 1e-9);
+    }
+
+    /// FNV-1a 64 over a string.
+    fn fnv1a(s: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in s.as_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    /// A fixed value in [0, 1) per index (SplitMix64 finalizer), so the
+    /// golden data depends on no RNG implementation.
+    fn unit(i: u64) -> f64 {
+        let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A fixed `n × 5` dataset with `k` noisy classes and tied columns: a
+    /// continuous signal, the signal coarsened to half units, a one-hot
+    /// indicator, an exact copy of column 0 and a constant.
+    fn golden_data(n: usize, k: usize) -> (Matrix, Vec<u32>) {
+        let mut rows = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
+        for i in 0..n as u64 {
+            let class = ((unit(3 * i) * k as f64) as usize).min(k - 1);
+            let signal = class as f64 + 1.5 * (unit(3 * i + 1) - 0.5);
+            let coarse = (2.0 * signal).round() / 2.0;
+            let flag = if unit(3 * i + 2) < 0.3 { 1.0 } else { 0.0 };
+            rows.push(vec![signal, coarse, flag, signal, 1.0]);
+            // One label in ten is flipped so no round fits the data exactly.
+            let label = if i % 10 == 7 { (class + 1) % k } else { class };
+            labels.push(label as u32);
+        }
+        (Matrix::from_vecs(&rows), labels)
+    }
+
+    #[test]
+    fn default_fit_matches_golden_digest() {
+        // Digests of `{model:?}` recorded with the per-node-sort grower that
+        // preceded the presorted split search: any drift in split search or
+        // boosting arithmetic fails here.
+        for (k, n, want) in [(2, 160, 0x376e_4be4_9070_ecde_u64), (3, 150, 0x6eba_441f_e783_6f75)] {
+            let (x, y) = golden_data(n, k);
+            let mut gb = GradientBoostingClassifier::default();
+            gb.fit(&x, &y, k, &mut StdRng::seed_from_u64(0));
+            assert_eq!(gb.n_rounds_fitted(), 30);
+            let got = fnv1a(&format!("{gb:?}"));
+            assert_eq!(got, want, "{k}-class model digest {got:#018x} != {want:#018x}");
+        }
     }
 }

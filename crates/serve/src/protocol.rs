@@ -41,6 +41,11 @@ pub mod kind {
 }
 
 /// Write one frame: 4-byte big-endian length, then the payload, flushed.
+///
+/// Prefix and payload go out in a single write. Two writes (a 4-byte
+/// prefix, then the payload) are the write-write-read pattern that stalls
+/// a kept-open TCP connection: Nagle's algorithm holds the payload until
+/// the prefix is ACKed, and the peer delays that ACK by up to ~40 ms.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -49,8 +54,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -170,6 +177,40 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "literal\nnewlines\nare fine");
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF between frames");
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let big = "x".repeat(100_000);
+        let payloads = ["", "{\"cmd\":\"ping\"}", big.as_str()];
+        let mut w = CountingWriter::default();
+        for (i, payload) in payloads.iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        let mut r = &w.bytes[..];
+        for payload in payloads {
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use comet_serve::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("comet_serve_it_{tag}_{}", std::process::id()));
@@ -175,6 +175,26 @@ fn full_session_lifecycle_over_the_wire() {
     let drained = client.request_ok("{\"cmd\":\"drain\"}").unwrap();
     assert!(matches!(drained.get("drained"), Some(JsonValue::Bool(true))));
     daemon.join();
+}
+
+#[test]
+fn kept_open_connection_answers_without_ack_stalls() {
+    // A frame written as two segments (length, then payload) waits on the
+    // peer's delayed ACK, ~40 ms per request on a kept-open connection.
+    // Twenty pings on one connection must finish well inside that.
+    let root = temp_root("keepalive");
+    let daemon = start_daemon(&root, 1, 4, Arc::new(ServeFaultPlan::default()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    client.request_ok("{\"cmd\":\"ping\"}").unwrap();
+    let started = Instant::now();
+    for _ in 0..20 {
+        client.request_ok("{\"cmd\":\"ping\"}").unwrap();
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(400), "20 pings took {elapsed:?}");
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
