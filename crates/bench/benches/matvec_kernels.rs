@@ -67,6 +67,30 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
+    // The MLP's layer-1 forward at the default width (32 hidden units) and
+    // the EEG / Churn feature widths: per-row `matvec_bias` over `h × d`
+    // weights against `matvec_t_bias` over their `d × h` transpose.
+    for d in [14, 57] {
+        let h = 32;
+        let w = filled(h, d, 17).concat();
+        let wt: Vec<f64> = (0..d * h).map(|i| w[(i % h) * d + i / h]).collect();
+        let xs: Vec<f64> = (0..d).map(|j| (j as f64).sin()).collect();
+        let bias: Vec<f64> = (0..h).map(|j| j as f64 * 1e-2).collect();
+        let mut hidden = vec![0.0; h];
+        group.bench_function(&format!("matvec_bias/{h}x{d}"), |b| {
+            b.iter(|| {
+                kernels::matvec_bias(&w, h, d, black_box(&xs), &bias, &mut hidden);
+                black_box(&hidden);
+            })
+        });
+        group.bench_function(&format!("matvec_t_bias/{h}x{d}"), |b| {
+            b.iter(|| {
+                kernels::matvec_t_bias(&wt, d, h, black_box(&xs), &bias, &mut hidden);
+                black_box(&hidden);
+            })
+        });
+    }
+
     let mut acc = vec![0.0; D];
     group.bench_function("axpy/kernel", |b| {
         b.iter(|| {

@@ -45,6 +45,43 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     combine8(&l) + tail
 }
 
+/// Transposed matrix–vector product with bias over a row-major `d × h`
+/// matrix `at`: `out[j] = dot(column j of at, x) + bias[j]`, each column
+/// reduced in exactly [`dot`]'s 8-lane order (lane `k % 8`, [`combine8`],
+/// sequential tail, column entry as the left operand of every product).
+/// The portable reference for [`super::x86::matvec_t_bias8_avx2`].
+#[inline]
+pub fn matvec_t_bias(at: &[f64], d: usize, h: usize, x: &[f64], bias: &[f64], out: &mut [f64]) {
+    matvec_t_bias_from(at, d, h, x, bias, out, 0);
+}
+
+/// [`matvec_t_bias`] for columns `j0..h` only (the vector encodings'
+/// remainder columns).
+#[inline]
+pub(super) fn matvec_t_bias_from(
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+    j0: usize,
+) {
+    debug_assert_eq!(at.len(), d * h);
+    let body = d / 8 * 8;
+    for j in j0..h {
+        let mut l = [0.0f64; 8];
+        for k in 0..body {
+            l[k % 8] += at[k * h + j] * x[k];
+        }
+        let mut tail = 0.0;
+        for k in body..d {
+            tail += at[k * h + j] * x[k];
+        }
+        out[j] = (combine8(&l) + tail) + bias[j];
+    }
+}
+
 /// Squared Euclidean distance with eight fixed-order lanes.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {

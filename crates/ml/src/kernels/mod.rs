@@ -13,6 +13,12 @@
 //!   deterministic across machines — only the *tier choice* changes
 //!   results, never the hardware it runs on.
 //!
+//! [`matvec_t_bias`] (the MLP's training-time layer-1 forward) is the one
+//! kernel with an AVX2 encoding in *both* tiers, each bit-identical to its
+//! tier's portable reference. Its speed comes from running 4 columns per
+//! vector register, one register per dot lane, not from lane width, so the
+//! scalar tier gets it without changing a bit (DESIGN.md §10).
+//!
 //! Each lane width fixes one reduction order; the two tiers therefore
 //! produce *different* (each internally deterministic) results for the
 //! reducing kernels `dot`/`sq_dist` (and everything built on them). The
@@ -232,6 +238,46 @@ pub fn matvec_bias(
     matvec(a, nrows, ncols, x, out);
     for (o, b) in out.iter_mut().zip(bias) {
         *o += b;
+    }
+}
+
+/// Transposed [`matvec_bias`]: `at` is a row-major `d × h` matrix and
+/// `out[j] = dot(column j of at, x) + bias[j]`. Each column is reduced in
+/// exactly the selected tier's [`dot`] order with the column entry as the
+/// left operand of every product, so the result is bit-identical to
+/// [`matvec_bias`] over the `h × d` transpose of `at`.
+///
+/// The layout is what makes it fast: the AVX2 encodings run 4 adjacent
+/// columns per vector register, one register per dot lane, so each column
+/// keeps its own add chain while 4 of them advance together (the MLP's
+/// layer-1 forward). Without AVX2 the portable per-tier reference runs.
+///
+/// Panics if `at`, `x`, `bias` or `out` does not match the `d × h` shape.
+#[inline]
+pub fn matvec_t_bias(at: &[f64], d: usize, h: usize, x: &[f64], bias: &[f64], out: &mut [f64]) {
+    assert!(
+        at.len() == d * h && x.len() == d && bias.len() == h && out.len() == h,
+        "matvec_t_bias shape mismatch"
+    );
+    match tier() {
+        KernelTier::Scalar => {
+            #[cfg(target_arch = "x86_64")]
+            if x86::has_avx2() {
+                // SAFETY: AVX2 support was verified at runtime just above and
+                // the shapes were asserted on entry.
+                return unsafe { x86::matvec_t_bias4_avx2(at, d, h, x, bias, out) };
+            }
+            scalar::matvec_t_bias(at, d, h, x, bias, out)
+        }
+        KernelTier::Simd => {
+            #[cfg(target_arch = "x86_64")]
+            if x86::has_avx2() {
+                // SAFETY: AVX2 support was verified at runtime just above and
+                // the shapes were asserted on entry.
+                return unsafe { x86::matvec_t_bias8_avx2(at, d, h, x, bias, out) };
+            }
+            lanes8::matvec_t_bias(at, d, h, x, bias, out)
+        }
     }
 }
 
@@ -621,21 +667,37 @@ fn simd_scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
     lanes8::scale_axpy_f32(alpha, y, beta, x)
 }
 
+/// Tier selection for the crate's unit tests. The selection is
+/// process-global, so a test that selects a tier holds this guard: it
+/// serializes such tests (same pattern as `OBS_LOCK` in comet-core) and
+/// restores the previous tier on drop.
+#[cfg(test)]
+pub(crate) struct TierGuard {
+    _lock: std::sync::MutexGuard<'static, ()>,
+    prev: KernelTier,
+}
+
+#[cfg(test)]
+impl TierGuard {
+    pub(crate) fn select(t: KernelTier) -> Self {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let lock = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let prev = tier();
+        set_tier(t);
+        TierGuard { _lock: lock, prev }
+    }
+}
+
+#[cfg(test)]
+impl Drop for TierGuard {
+    fn drop(&mut self) {
+        set_tier(self.prev);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The tier selection is process-global; tests that flip it must
-    /// serialize and restore (same pattern as `OBS_LOCK` in comet-core).
-    static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn tier_guard(t: KernelTier) -> (MutexGuard<'static, ()>, KernelTier) {
-        let guard = TIER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = tier();
-        set_tier(t);
-        (guard, prev)
-    }
 
     fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -672,7 +734,7 @@ mod tests {
     #[test]
     fn dot_matches_naive_within_tolerance_and_is_deterministic() {
         for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
+            let _g = TierGuard::select(t);
             for n in [0, 1, 3, 4, 5, 8, 17, 100] {
                 let a = seq(n, 1.0);
                 let b = seq(n, -0.5);
@@ -681,14 +743,13 @@ mod tests {
                 // Bitwise repeatable.
                 assert_eq!(d.to_bits(), dot(&a, &b).to_bits());
             }
-            set_tier(prev);
         }
     }
 
     #[test]
     fn axpy_and_scale_axpy() {
         for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
+            let _g = TierGuard::select(t);
             for n in [0, 1, 4, 7, 9, 16, 21] {
                 let x = seq(n, 2.0);
                 let mut y = seq(n, 1.0);
@@ -702,21 +763,19 @@ mod tests {
                 scale_axpy(0.9, &mut z, -0.1, &x);
                 assert_eq!(z, expect);
             }
-            set_tier(prev);
         }
     }
 
     #[test]
     fn sq_dist_matches_naive() {
         for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
+            let _g = TierGuard::select(t);
             for n in [0, 1, 4, 6, 13, 24] {
                 let a = seq(n, 1.0);
                 let b = seq(n, 0.25);
                 let naive: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
                 assert!((sq_dist(&a, &b) - naive).abs() < 1e-9);
             }
-            set_tier(prev);
         }
     }
 
@@ -726,13 +785,12 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let x = [1.0, 0.0, -1.0];
         for t in [KernelTier::Scalar, KernelTier::Simd] {
-            let (_g, prev) = tier_guard(t);
+            let _g = TierGuard::select(t);
             let mut out = [0.0; 2];
             matvec(&a, 2, 3, &x, &mut out);
             assert_eq!(out, [-2.0, -2.0]);
             matvec_bias(&a, 2, 3, &x, &[10.0, 20.0], &mut out);
             assert_eq!(out, [8.0, 18.0]);
-            set_tier(prev);
         }
     }
 
@@ -763,13 +821,12 @@ mod tests {
                 }
             }
             for t in [KernelTier::Scalar, KernelTier::Simd] {
-                let (_g, prev) = tier_guard(t);
+                let _g = TierGuard::select(t);
                 let mut blocked = vec![0.0; m * n];
                 matmul(&a, m, k, &b, n, &mut blocked);
                 for (x, y) in blocked.iter().zip(&naive) {
                     assert_eq!(x.to_bits(), y.to_bits(), "tier={t} m={m} k={k} n={n}");
                 }
-                set_tier(prev);
             }
         }
     }
@@ -780,11 +837,10 @@ mod tests {
             let x = seq(n, 0.7);
             let y0 = seq(n, -1.3);
             let run = |t: KernelTier| {
-                let (_g, prev) = tier_guard(t);
+                let _g = TierGuard::select(t);
                 let mut y = y0.clone();
                 axpy(0.25, &x, &mut y);
                 scale_axpy(0.9, &mut y, -0.35, &x);
-                set_tier(prev);
                 y
             };
             let scalar_out = run(KernelTier::Scalar);

@@ -36,6 +36,47 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     ((l0 + l1) + (l2 + l3)) + tail
 }
 
+/// Transposed matrix–vector product with bias over a row-major `d × h`
+/// matrix `at`: `out[j] = dot(column j of at, x) + bias[j]`.
+///
+/// Each column is reduced in exactly [`dot`]'s order — element `k` of the
+/// 4-wide body goes to lane `k % 4`, the rest to a sequential tail, and
+/// the column entry is the left operand of every product — so `out[j]`
+/// equals `dot(column_j, x) + bias[j]` bit for bit. This is the portable
+/// reference; the AVX2 encoding in [`super::x86`] runs 4 columns per
+/// vector and must match it on every input.
+#[inline]
+pub fn matvec_t_bias(at: &[f64], d: usize, h: usize, x: &[f64], bias: &[f64], out: &mut [f64]) {
+    matvec_t_bias_from(at, d, h, x, bias, out, 0);
+}
+
+/// [`matvec_t_bias`] for columns `j0..h` only (the vector encodings'
+/// remainder columns).
+#[inline]
+pub(super) fn matvec_t_bias_from(
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+    j0: usize,
+) {
+    debug_assert_eq!(at.len(), d * h);
+    let body = d / 4 * 4;
+    for j in j0..h {
+        let mut l = [0.0f64; 4];
+        for k in 0..body {
+            l[k % 4] += at[k * h + j] * x[k];
+        }
+        let mut tail = 0.0;
+        for k in body..d {
+            tail += at[k * h + j] * x[k];
+        }
+        out[j] = (((l[0] + l[1]) + (l[2] + l[3])) + tail) + bias[j];
+    }
+}
+
 /// `y += alpha * x`, unrolled 4-wide. Element-wise, so no accumulation
 /// order is involved; the unroll only widens the store pipeline.
 #[inline]

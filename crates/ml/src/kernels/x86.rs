@@ -1,7 +1,9 @@
-//! x86_64 AVX2/SSE2 implementations of the SIMD tier.
+//! x86_64 AVX2/SSE2 implementations of the SIMD tier, plus the AVX2
+//! encoding of the scalar tier's [`super::scalar::matvec_t_bias`].
 //!
 //! Every function here is required to be **bit-identical** to its
-//! portable reference in [`super::lanes8`] on every input — the lane
+//! portable reference in [`super::lanes8`] (or, for
+//! [`matvec_t_bias4_avx2`], [`super::scalar`]) on every input — the lane
 //! assignment and horizontal-combine order are the same, only the
 //! instruction encoding differs:
 //!
@@ -11,6 +13,9 @@
 //!   s3]`, combined in scalar code as `(s0 + s1) + (s2 + s3)`.
 //! * SSE2 splits the same 8 lanes across four 128-bit f64 accumulators
 //!   (two for f32) and performs the identical vertical adds.
+//! * The transposed matvecs instead give each dot lane its own register
+//!   holding that lane for 4 adjacent columns, and combine vertically in
+//!   the reference's order, so no horizontal add is needed at all.
 //!
 //! No fused multiply–add: FMA rounds once where the reference's
 //! mul-then-add rounds twice, so `_mm256_fmadd_pd` and friends are
@@ -124,6 +129,127 @@ pub unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
         tail += a[i] * b[i];
     }
     combine4([s01[0], s01[1], s23[0], s23[1]]) + tail
+}
+
+/// Columns `j..j + 4·V` of a transposed matvec with bias, each reduced in
+/// the `LANES`-lane dot order: element `k` of the `LANES`-wide body goes to
+/// lane `k % LANES`, the rest to a sequential tail. `l[v][i]` holds lane
+/// `i` of columns `j + 4v..j + 4v + 4`, so every column keeps its own add
+/// chain, and the `V` vectors of a lane share one broadcast of `x[k]`. Each
+/// product is `column entry × x[k]` (the references' `w * x`) and is added
+/// with a separate add — no FMA. The combine is the reference's:
+/// `(l0 + l1) + (l2 + l3)` for 4 lanes, [`super::lanes8::combine8`]'s
+/// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7))` for 8; then the tail,
+/// then the bias.
+///
+/// # Safety
+/// The CPU must support AVX2; `ap` must hold `d·h` elements, `xp` `d`, and
+/// `bp`/`op` `h`, with `j + 4·V <= h`.
+#[inline]
+// SAFETY: touches ap[k*h + j..+4V], xp[k] (k < d), bp/op[j..+4V]; in bounds.
+#[target_feature(enable = "avx2")]
+unsafe fn t_block<const LANES: usize, const V: usize>(
+    ap: *const f64,
+    xp: *const f64,
+    bp: *const f64,
+    op: *mut f64,
+    d: usize,
+    h: usize,
+    j: usize,
+) {
+    const { assert!(LANES == 4 || LANES == 8, "the two tiers' dot orders") };
+    let body = d / LANES * LANES;
+    let mut l = [[_mm256_setzero_pd(); LANES]; V];
+    let mut k = 0;
+    while k < body {
+        for (lane, kk) in (k..k + LANES).enumerate() {
+            let xv = _mm256_set1_pd(*xp.add(kk));
+            for (v, lv) in l.iter_mut().enumerate() {
+                let w = _mm256_loadu_pd(ap.add(kk * h + j + 4 * v));
+                lv[lane] = _mm256_add_pd(lv[lane], _mm256_mul_pd(w, xv));
+            }
+        }
+        k += LANES;
+    }
+    let mut tail = [_mm256_setzero_pd(); V];
+    for kk in body..d {
+        let xv = _mm256_set1_pd(*xp.add(kk));
+        for (v, t) in tail.iter_mut().enumerate() {
+            let w = _mm256_loadu_pd(ap.add(kk * h + j + 4 * v));
+            *t = _mm256_add_pd(*t, _mm256_mul_pd(w, xv));
+        }
+    }
+    for (v, (lv, t)) in l.iter().zip(tail).enumerate() {
+        let lanes = if LANES == 4 {
+            _mm256_add_pd(_mm256_add_pd(lv[0], lv[1]), _mm256_add_pd(lv[2], lv[3]))
+        } else {
+            let s01 = _mm256_add_pd(_mm256_add_pd(lv[0], lv[4]), _mm256_add_pd(lv[1], lv[5]));
+            let s23 = _mm256_add_pd(_mm256_add_pd(lv[2], lv[6]), _mm256_add_pd(lv[3], lv[7]));
+            _mm256_add_pd(s01, s23)
+        };
+        let out = _mm256_add_pd(_mm256_add_pd(lanes, t), _mm256_loadu_pd(bp.add(j + 4 * v)));
+        _mm256_storeu_pd(op.add(j + 4 * v), out);
+    }
+}
+
+/// [`super::scalar::matvec_t_bias`] via AVX2, bit-identical: the scalar
+/// tier's 4-lane [`super::scalar::dot`] order, run on 8 columns per block
+/// (two vectors per dot lane, 4 columns each) and then on 4. Remainder
+/// columns run the portable reference. See the private `t_block` for why each column
+/// gets the reference's bits.
+///
+/// # Safety
+/// The CPU must support AVX2 ([`has_avx2`]), `at` must hold `d·h`
+/// elements, `x` `d`, and `bias` and `out` `h`.
+// SAFETY: every t_block call keeps its columns inside h (j + 4·V <= h).
+#[target_feature(enable = "avx2")]
+pub unsafe fn matvec_t_bias4_avx2(
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+) {
+    debug_assert!(at.len() == d * h && x.len() == d && bias.len() == h && out.len() == h);
+    let (ap, xp, bp, op) = (at.as_ptr(), x.as_ptr(), bias.as_ptr(), out.as_mut_ptr());
+    let mut j = 0;
+    while j + 8 <= h {
+        t_block::<4, 2>(ap, xp, bp, op, d, h, j); // j + 8 <= h
+        j += 8;
+    }
+    if j + 4 <= h {
+        t_block::<4, 1>(ap, xp, bp, op, d, h, j); // j + 4 <= h
+        j += 4;
+    }
+    super::scalar::matvec_t_bias_from(at, d, h, x, bias, out, j);
+}
+
+/// [`super::lanes8::matvec_t_bias`] via AVX2, bit-identical: the simd
+/// tier's 8-lane [`super::lanes8::dot`] order, run on 4 columns per block
+/// (one vector per dot lane; eight lanes leave no registers for a second).
+/// Remainder columns run the portable reference.
+///
+/// # Safety
+/// Same as [`matvec_t_bias4_avx2`].
+// SAFETY: every t_block call keeps its columns inside h (j + 4 <= h).
+#[target_feature(enable = "avx2")]
+pub unsafe fn matvec_t_bias8_avx2(
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+) {
+    debug_assert!(at.len() == d * h && x.len() == d && bias.len() == h && out.len() == h);
+    let (ap, xp, bp, op) = (at.as_ptr(), x.as_ptr(), bias.as_ptr(), out.as_mut_ptr());
+    let mut j = 0;
+    while j + 4 <= h {
+        t_block::<8, 1>(ap, xp, bp, op, d, h, j); // j + 4 <= h
+        j += 4;
+    }
+    super::lanes8::matvec_t_bias_from(at, d, h, x, bias, out, j);
 }
 
 /// [`super::lanes8::sq_dist`] via AVX2, bit-identical.

@@ -8,6 +8,9 @@
 //! both tiers, the element-wise kernels' tier-independence, and
 //! `matmul`'s tier- and m-invariance (the property `KnnClassifier`
 //! relies on to make `predict_row` match batched `predict` bit for bit).
+//! `matvec_t_bias` is checked against its tier's column `dot` plus bias
+//! in every encoding, the property the MLP's transposed layer-1 forward
+//! relies on to keep every weight bit.
 //!
 //! The tier selection is process-global, so every test that flips it
 //! holds `TIER_LOCK` and restores the previous tier before releasing.
@@ -55,6 +58,26 @@ fn vec_f64(len: usize, seed: u64) -> Vec<f64> {
 
 fn vec_f32(len: usize, seed: u64) -> Vec<f32> {
     vec_f64(len, seed).into_iter().map(|v| v as f32).collect()
+}
+
+/// [`vec_f64`] with about one entry in 32 replaced by NaN, −NaN, ±inf or
+/// ±0.0.
+fn vec_special(len: usize, seed: u64) -> Vec<f64> {
+    const SPECIALS: [f64; 6] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    let pick = vec_f64(len, seed ^ 0x5EC1);
+    vec_f64(len, seed)
+        .into_iter()
+        .zip(pick)
+        .map(|(v, p)| {
+            // `p` is uniform in [-8, 8): its top 1/32 selects a special.
+            let u = (p + 8.0) / 16.0;
+            if u < 31.0 / 32.0 {
+                v
+            } else {
+                SPECIALS[((u - 31.0 / 32.0) * 32.0 * 6.0) as usize % 6]
+            }
+        })
+        .collect()
 }
 
 /// Every length from empty through two full 8-lane blocks plus ragged
@@ -332,6 +355,94 @@ proptest::proptest! {
         let simd_out = run(KernelTier::Simd);
         for (a, b) in scalar_out.iter().zip(&simd_out) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+/// Bits with every NaN mapped to one pattern. Rust leaves the sign and
+/// payload of a NaN result unspecified, and LLVM swaps the operands of a
+/// commutative add or multiply even in debug builds, so where a `+NaN` and
+/// a `−NaN` meet, the sign depends on code generation: `scalar::dot` and a
+/// plain left-to-right evaluation of the same sum have returned opposite
+/// signs. A NaN must still appear exactly where the reference has one;
+/// every other value, ±0.0 and ±inf included, is compared bit for bit.
+fn canon_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// `out[j]` as the expected bits: `dot(column j of at, x) + bias[j]` with
+/// the given column dot.
+fn column_dots(
+    dot: impl Fn(&[f64], &[f64]) -> f64,
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+) -> Vec<u64> {
+    (0..h)
+        .map(|j| {
+            let column: Vec<f64> = (0..d).map(|k| at[k * h + j]).collect();
+            canon_bits(dot(&column, x) + bias[j])
+        })
+        .collect()
+}
+
+fn out_bits(
+    kernel: impl Fn(&[f64], usize, usize, &[f64], &[f64], &mut [f64]),
+    at: &[f64],
+    d: usize,
+    h: usize,
+    x: &[f64],
+    bias: &[f64],
+) -> Vec<u64> {
+    let mut out = vec![f64::NAN; h];
+    kernel(at, d, h, x, bias, &mut out);
+    out.iter().map(|&v| canon_bits(v)).collect()
+}
+
+#[test]
+fn matvec_t_bias_matches_column_dots_in_every_encoding() {
+    // Every d in 0..=70 (straddling the 4- and 8-lane boundaries) against
+    // every h in 1..=70 (multiples of 4 and remainder columns alike). Half
+    // the shapes (odd seeds) carry NaN, −NaN, ±inf and ±0.0 entries.
+    for d in 0..=70usize {
+        for h in 1..=70usize {
+            let seed = (d * 71 + h) as u64;
+            let gen: fn(usize, u64) -> Vec<f64> = if seed % 2 == 1 { vec_special } else { vec_f64 };
+            let at = gen(d * h, seed);
+            let x = gen(d, seed ^ 0x77);
+            let bias = gen(h, seed ^ 0x99);
+            let want4 = column_dots(scalar::dot, &at, d, h, &x, &bias);
+            let want8 = column_dots(lanes8::dot, &at, d, h, &x, &bias);
+            assert_eq!(out_bits(scalar::matvec_t_bias, &at, d, h, &x, &bias), want4, "d={d} h={h}");
+            assert_eq!(out_bits(lanes8::matvec_t_bias, &at, d, h, &x, &bias), want8, "d={d} h={h}");
+            #[cfg(target_arch = "x86_64")]
+            if x86::has_avx2() {
+                // SAFETY: AVX2 support was verified at runtime just above, and
+                // `out_bits` passes buffers of the `d × h` shape.
+                let avx4 = |a: &[f64], d, h, x: &[f64], b: &[f64], o: &mut [f64]| unsafe {
+                    x86::matvec_t_bias4_avx2(a, d, h, x, b, o)
+                };
+                // SAFETY: as above.
+                let avx8 = |a: &[f64], d, h, x: &[f64], b: &[f64], o: &mut [f64]| unsafe {
+                    x86::matvec_t_bias8_avx2(a, d, h, x, b, o)
+                };
+                assert_eq!(out_bits(avx4, &at, d, h, &x, &bias), want4, "avx2 d={d} h={h}");
+                assert_eq!(out_bits(avx8, &at, d, h, &x, &bias), want8, "avx2 d={d} h={h}");
+            }
+            for t in [KernelTier::Scalar, KernelTier::Simd] {
+                let _g = TierGuard::select(t);
+                assert_eq!(
+                    out_bits(kernels::matvec_t_bias, &at, d, h, &x, &bias),
+                    column_dots(kernels::dot, &at, d, h, &x, &bias),
+                    "{t} dispatcher d={d} h={h}"
+                );
+            }
         }
     }
 }
