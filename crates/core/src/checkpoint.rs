@@ -10,22 +10,31 @@
 //! record (trace fingerprint, budget, rng draw count); any divergence is a
 //! [`CometError::Checkpoint`], never a silently different result.
 //!
+//! The first line is the header,
+//! `{"kind":"checkpoint_header","version":2,"identity":{…}}`: the run's
+//! whole [`SessionIdentity`]. A resume compares it field by field with the
+//! resuming session's and names every mismatch in one error.
+//!
 //! All `u64` identities (seeds, fingerprints) are serialized as 16-digit
 //! hex *strings*: the journal's JSON parser reads numbers as `f64`, which
 //! only carries 53 bits.
 
 use crate::config::CometConfig;
+use crate::env::CleaningEnvironment;
 use crate::error::CometError;
+use crate::faults::FaultPlan;
 use crate::trace::CleaningTrace;
-use comet_detect::DetectorConfig;
 use comet_jenga::ErrorType;
-use comet_ml::kernels::KernelTier;
 use comet_obs::json::{self, JsonObject, JsonValue};
 use rand::RngCore;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The header format this build writes, and the only one it reads.
+const HEADER_VERSION: u64 = 2;
 
 /// Where a session persists its progress, and whether to resume from an
 /// existing file first.
@@ -49,31 +58,80 @@ fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of everything that must match for a checkpoint to be
-/// resumable: the full config and the candidate error set.
-pub(crate) fn config_fingerprint(config: &CometConfig, errors: &[ErrorType]) -> u64 {
-    mix_bytes(0xC0_FF_EE, format!("{config:?}|{errors:?}").as_bytes())
+/// Everything that must match for a checkpoint to be resumable, as
+/// `(field name, canonical string)` entries: the session seed (16-digit
+/// hex), the candidate error set, and every [`CometConfig`] field by its
+/// derived `Debug` — the kernel tier, probe precision, detector setup and
+/// segment size included, since each one shapes the trace or the cache.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SessionIdentity(BTreeMap<String, String>);
+
+/// `(field name, Debug)` of each listed [`CometConfig`] field. The
+/// destructuring pattern has no `..`: a config field missing from the list
+/// is a compile error, so no field can escape the identity.
+macro_rules! config_entries {
+    ($config:expr; $($field:ident),* $(,)?) => {{
+        let CometConfig { $($field),* } = $config;
+        [$((stringify!($field), format!("{:?}", $field))),*]
+    }};
 }
 
-/// Fingerprint of the detection setup, `None` included. Detection decides
-/// which candidate pairs the session even sees, so a checkpoint taken
-/// under one detector configuration (or under oracle mode) must refuse
-/// silent resume under another. Debug-derived like [`config_fingerprint`]:
-/// any future `DetectorConfig` field is covered automatically.
-pub(crate) fn detect_fingerprint(detect: &Option<DetectorConfig>) -> u64 {
-    mix_bytes(0xDE_7E_C7, format!("{detect:?}").as_bytes())
+impl SessionIdentity {
+    pub(crate) fn new(session_seed: u64, errors: &[ErrorType], config: &CometConfig) -> Self {
+        let config = config_entries!(config;
+            step_frac, pollution_steps, n_combinations, metric, budget, costs, interval,
+            blr_degree, search, eval_seed, use_uncertainty, bias_correction,
+            revert_on_decrease, fallback, batch_size, max_retries, kernels, f32_probes,
+            detect, segment_rows,
+        );
+        let session = [("session_seed", hex_u64(session_seed)), ("errors", format!("{errors:?}"))];
+        SessionIdentity(
+            session.into_iter().chain(config).map(|(k, v)| (k.to_string(), v)).collect(),
+        )
+    }
+
+    fn to_json(&self) -> String {
+        let mut obj = JsonObject::new();
+        for (name, value) in &self.0 {
+            obj.field_str(name, value);
+        }
+        obj.finish()
+    }
+
+    fn from_json(value: Option<&JsonValue>) -> Result<Self, CometError> {
+        let fields = value
+            .and_then(JsonValue::as_obj)
+            .ok_or_else(|| CometError::Checkpoint("checkpoint header has no identity".into()))?;
+        let entry = |(name, value): &(String, JsonValue)| {
+            let value = value.as_str().ok_or_else(|| {
+                CometError::Checkpoint(format!("identity field {name:?} is not a string"))
+            })?;
+            Ok((name.clone(), value.to_string()))
+        };
+        fields.iter().map(entry).collect::<Result<_, _>>().map(SessionIdentity)
+    }
+
+    /// Every field that differs from `recorded`, with both values. A field
+    /// present on one side only is a mismatch too.
+    fn mismatches(&self, recorded: &SessionIdentity) -> Vec<String> {
+        let names: BTreeSet<&String> = self.0.keys().chain(recorded.0.keys()).collect();
+        let shown = |v: Option<&String>| v.map_or("<absent>", String::as_str).to_string();
+        names
+            .into_iter()
+            .filter(|&name| self.0.get(name) != recorded.0.get(name))
+            .map(|name| {
+                let (was, now) = (shown(recorded.0.get(name)), shown(self.0.get(name)));
+                format!("`{name}` (checkpoint {was}, session {now})")
+            })
+            .collect()
+    }
 }
 
 /// Fingerprint of every decision the trace has accumulated so far —
 /// records, failures, and the F1 curve, bit-exact (f64s hashed by their
-/// bit patterns). Divergence detection during resume replay. Seeded with
-/// the kernel tier, its lane count, and the f32-probe flag: each tier has
-/// its own fixed reduction order, so traces produced under different
-/// tiers are distinct even when their decisions happen to coincide.
-pub(crate) fn trace_fingerprint(trace: &CleaningTrace, tier: KernelTier, f32_probes: bool) -> u64 {
-    let mut h = mix_bytes(0x7_2A_CEu64, tier.name().as_bytes());
-    h = mix(h, tier.lanes() as u64);
-    h = mix(h, f32_probes as u64);
+/// bit patterns). Divergence detection during resume replay.
+pub(crate) fn trace_fingerprint(trace: &CleaningTrace) -> u64 {
+    let mut h = 0x7_2A_CEu64;
     for r in &trace.records {
         h = mix(h, r.iteration as u64);
         h = mix(h, r.col as u64);
@@ -163,48 +221,10 @@ pub(crate) struct IterationCheckpoint {
 /// Everything a checkpoint file holds.
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointData {
-    pub session_seed: u64,
-    pub config_fp: u64,
-    pub budget_total: f64,
-    /// Kernel tier the run was recorded under. Headers predating the
-    /// tiered kernels default to scalar — the only tier that existed.
-    pub kernel_tier: KernelTier,
-    /// Reduction lane count of that tier (redundant with the tier name,
-    /// persisted so a mismatch error can state both sides' orders).
-    pub lane_count: u64,
-    /// Whether probe evaluations ran in the f32 tier.
-    pub f32_probes: bool,
-    /// [`detect_fingerprint`] of the run's detection setup. Headers
-    /// predating detection mode default to the fingerprint of `None` —
-    /// oracle mode was the only mode that existed.
-    pub detect_fp: u64,
-    /// Column segment size the run was recorded under (`0` = whole
-    /// column). Spill files and feature-block cache keys are per-segment,
-    /// so a resume under a different segmentation is refused even though
-    /// traces are bit-identical across sizes. Headers predating segmented
-    /// frames default to the default segment size — the layout every
-    /// earlier run used implicitly.
-    pub segment_rows: u64,
+    pub identity: SessionIdentity,
     /// Union of all persisted evaluation-cache entries, in file order.
     pub cache: Vec<(u64, u64, f64)>,
     pub iterations: Vec<IterationCheckpoint>,
-}
-
-impl Default for CheckpointData {
-    fn default() -> Self {
-        CheckpointData {
-            session_seed: 0,
-            config_fp: 0,
-            budget_total: 0.0,
-            kernel_tier: KernelTier::Scalar,
-            lane_count: KernelTier::Scalar.lanes() as u64,
-            f32_probes: false,
-            detect_fp: detect_fingerprint(&None),
-            segment_rows: comet_frame::DEFAULT_SEGMENT_ROWS as u64,
-            cache: Vec::new(),
-            iterations: Vec::new(),
-        }
-    }
 }
 
 fn cache_array(entries: &[(u64, u64, f64)]) -> String {
@@ -220,41 +240,64 @@ fn cache_array(entries: &[(u64, u64, f64)]) -> String {
 pub(crate) struct CheckpointWriter {
     out: BufWriter<File>,
     seen: BTreeSet<(u64, u64)>,
-    faults: Option<std::sync::Arc<crate::faults::FaultPlan>>,
+    faults: Option<Arc<FaultPlan>>,
+    /// The interrupted run's iteration records, which a resumed replay
+    /// must reproduce (empty unless resuming).
+    replay: Vec<IterationCheckpoint>,
 }
 
 impl CheckpointWriter {
-    /// Create (truncate) the checkpoint file and write its header. The
-    /// kernel tier, its lane count, and the f32-probe flag are part of the
-    /// header because a checkpoint taken under one reduction order must
-    /// refuse silent resume under another.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
-        path: &Path,
-        session_seed: u64,
-        config_fp: u64,
-        budget_total: f64,
-        kernel_tier: KernelTier,
-        f32_probes: bool,
-        detect_fp: u64,
-        segment_rows: usize,
+    /// Open a session's checkpoint. On resume, load the interrupted run,
+    /// refuse it unless its identity matches `identity` field by field,
+    /// and preload its evaluation cache into `env` — the preloaded cache is
+    /// what makes the replay both cheap and bit-identical (the warm-cache
+    /// determinism property). Either way the file is then rewritten from
+    /// scratch. A planned `CheckpointWriteError` in `faults` fires from
+    /// inside [`Self::write_iteration`], so an injected failure travels the
+    /// production I/O error path.
+    pub fn open(
+        spec: &CheckpointSpec,
+        identity: &SessionIdentity,
+        env: &CleaningEnvironment,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self, CometError> {
+        let recorded = if spec.resume { Some(load(&spec.path)?) } else { None };
+        if let Some(data) = &recorded {
+            let mismatches = identity.mismatches(&data.identity);
+            if !mismatches.is_empty() {
+                return Err(CometError::Checkpoint(format!(
+                    "refusing to resume: the session identity (seed, candidate errors and \
+                     config) differs from the checkpoint's in {}",
+                    mismatches.join(", ")
+                )));
+            }
+            env.preload_cache(&data.cache);
+        }
+        let mut writer = CheckpointWriter::create(&spec.path, identity)?;
+        writer.faults = faults;
+        if let Some(data) = recorded {
+            // The rewritten file stays self-contained.
+            writer.write_cache(&data.cache)?;
+            writer.replay = data.iterations;
+        }
+        Ok(writer)
+    }
+
+    /// Create (truncate) the checkpoint file and write its header.
+    pub fn create(path: &Path, identity: &SessionIdentity) -> Result<Self, CometError> {
         let file = File::create(path).map_err(|e| {
             CometError::Checkpoint(format!("cannot create {}: {e}", path.display()))
         })?;
-        let mut writer =
-            CheckpointWriter { out: BufWriter::new(file), seen: BTreeSet::new(), faults: None };
+        let mut writer = CheckpointWriter {
+            out: BufWriter::new(file),
+            seen: BTreeSet::new(),
+            faults: None,
+            replay: Vec::new(),
+        };
         let mut obj = JsonObject::new();
         obj.field_str("kind", "checkpoint_header")
-            .field_u64("version", 1)
-            .field_str("session_seed", &hex_u64(session_seed))
-            .field_str("config_fp", &hex_u64(config_fp))
-            .field_f64("budget_total", budget_total)
-            .field_str("kernel_tier", kernel_tier.name())
-            .field_u64("lane_count", kernel_tier.lanes() as u64)
-            .field_u64("f32_probes", f32_probes as u64)
-            .field_str("detect_fp", &hex_u64(detect_fp))
-            .field_u64("segment_rows", segment_rows as u64);
+            .field_u64("version", HEADER_VERSION)
+            .field_raw("identity", &identity.to_json());
         writer.write_line(&obj.finish())?;
         Ok(writer)
     }
@@ -267,14 +310,14 @@ impl CheckpointWriter {
             .map_err(|e| CometError::Checkpoint(format!("write failed: {e}")))
     }
 
-    /// Entries not yet persisted. `seen` is only updated by [`Self::commit`]
+    /// Entries not yet persisted. `seen` is only updated by [`Self::mark_seen`]
     /// *after* a successful write, so a failed write (real or injected) can
     /// be retried without dropping entries from the file.
     fn fresh(&self, entries: &[(u64, u64, f64)]) -> Vec<(u64, u64, f64)> {
         entries.iter().copied().filter(|&(a, b, _)| !self.seen.contains(&(a, b))).collect()
     }
 
-    fn commit(&mut self, fresh: &[(u64, u64, f64)]) {
+    fn mark_seen(&mut self, fresh: &[(u64, u64, f64)]) {
         for &(a, b, _) in fresh {
             self.seen.insert((a, b));
         }
@@ -288,17 +331,8 @@ impl CheckpointWriter {
         let mut obj = JsonObject::new();
         obj.field_str("kind", "checkpoint_cache").field_raw("entries", &cache_array(&fresh));
         self.write_line(&obj.finish())?;
-        self.commit(&fresh);
+        self.mark_seen(&fresh);
         Ok(())
-    }
-
-    /// Arm deterministic I/O fault injection: a
-    /// [`crate::faults::FaultKind::CheckpointWriteError`] spec in `plan`
-    /// makes [`Self::write_iteration`] fail at that iteration as if the
-    /// disk did.
-    pub fn with_faults(mut self, plan: std::sync::Arc<crate::faults::FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
     }
 
     /// Persist one completed iteration plus the cache entries it added.
@@ -327,8 +361,40 @@ impl CheckpointWriter {
             .field_str("trace_fp", &hex_u64(record.trace_fp))
             .field_raw("cache", &cache_array(&fresh));
         self.write_line(&obj.finish())?;
-        self.commit(&fresh);
+        self.mark_seen(&fresh);
         Ok(())
+    }
+
+    /// Verify a completed iteration against the interrupted run's record
+    /// (when resuming), then persist it with the cache entries it added.
+    /// Checkpoint I/O faults are often transient (full disk freed, volume
+    /// reattached), so a failed write is retried in place up to
+    /// `max_retries` times. Retries consume no randomness, so a recovered
+    /// write leaves the trace bit-identical to an undisturbed run.
+    pub fn commit(
+        &mut self,
+        record: &IterationCheckpoint,
+        cache_entries: &[(u64, u64, f64)],
+        max_retries: usize,
+    ) -> Result<(), CometError> {
+        if let Some(stored) = self.replay.get(record.iteration) {
+            if stored != record {
+                return Err(CometError::Checkpoint(format!(
+                    "resume diverged at iteration {}: checkpoint {stored:?}, replay {record:?}",
+                    record.iteration
+                )));
+            }
+        }
+        let mut attempt = 0usize;
+        loop {
+            let Err(e) = self.write_iteration(record, cache_entries) else { return Ok(()) };
+            comet_obs::counter_add("fault.checkpoint_write_errors", 1);
+            if attempt >= max_retries {
+                return Err(e);
+            }
+            attempt += 1;
+            comet_obs::counter_add("fault.checkpoint_write_retries", 1);
+        }
     }
 }
 
@@ -371,12 +437,13 @@ fn parse_cache(value: &JsonValue) -> Result<Vec<(u64, u64, f64)>, CometError> {
 
 /// Load a checkpoint file. An unparseable line — the tail a killed writer
 /// left behind — ends the load at everything before it; a missing or
-/// malformed header is an error.
+/// malformed header, or one of another version, is an error.
 pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CometError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
-    let mut data = CheckpointData::default();
-    let mut has_header = false;
+    let mut identity = None;
+    let mut cache = Vec::new();
+    let mut iterations = Vec::new();
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
@@ -386,55 +453,32 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
         };
         match value.get("kind").and_then(JsonValue::as_str) {
             Some("checkpoint_header") => {
-                data.session_seed = get_hex(&value, "session_seed")?;
-                data.config_fp = get_hex(&value, "config_fp")?;
-                data.budget_total = get_f64(&value, "budget_total")?;
-                // Tier fields default (scalar / 4 lanes / f64 probes) when
-                // absent: headers written before the kernel tiers existed
-                // could only have come from the scalar-tier code path.
-                let tier_name =
-                    value.get("kernel_tier").and_then(JsonValue::as_str).unwrap_or("scalar");
-                data.kernel_tier = KernelTier::parse(tier_name).ok_or_else(|| {
-                    CometError::Checkpoint(format!(
-                        "unknown kernel tier {tier_name:?} in checkpoint header"
-                    ))
-                })?;
-                data.lane_count = value
-                    .get("lane_count")
-                    .and_then(JsonValue::as_f64)
-                    .map_or(data.kernel_tier.lanes() as u64, |v| v as u64);
-                data.f32_probes =
-                    value.get("f32_probes").and_then(JsonValue::as_f64).is_some_and(|v| v != 0.0);
-                // Absent detect_fp = header from before detection mode;
-                // only oracle mode existed then.
-                data.detect_fp = match value.get("detect_fp").and_then(JsonValue::as_str) {
-                    Some(s) => parse_hex(s)?,
-                    None => detect_fingerprint(&None),
-                };
-                // Absent segment_rows = header from before segmented
-                // frames; every run then used the default layout.
-                data.segment_rows = value
-                    .get("segment_rows")
-                    .and_then(JsonValue::as_f64)
-                    .map_or(comet_frame::DEFAULT_SEGMENT_ROWS as u64, |v| v as u64);
-                has_header = true;
+                let version = value.get("version").and_then(JsonValue::as_f64);
+                if version != Some(HEADER_VERSION as f64) {
+                    return Err(CometError::Checkpoint(format!(
+                        "checkpoint header version {} is not supported (this build reads \
+                         version {HEADER_VERSION} only); rerun without resuming",
+                        version.map_or("<missing>".to_string(), |v| v.to_string())
+                    )));
+                }
+                identity = Some(SessionIdentity::from_json(value.get("identity"))?);
             }
             Some("checkpoint_cache") => {
                 let entries = value
                     .get("entries")
                     .ok_or_else(|| CometError::Checkpoint("cache record without entries".into()))?;
-                data.cache.extend(parse_cache(entries)?);
+                cache.extend(parse_cache(entries)?);
             }
             Some("checkpoint_iteration") => {
-                data.iterations.push(IterationCheckpoint {
+                iterations.push(IterationCheckpoint {
                     iteration: get_f64(&value, "iteration")? as usize,
                     budget_spent: get_f64(&value, "budget_spent")?,
                     rng_draws: get_f64(&value, "rng_draws")? as u64,
                     records: get_f64(&value, "records")? as usize,
                     trace_fp: get_hex(&value, "trace_fp")?,
                 });
-                if let Some(cache) = value.get("cache") {
-                    data.cache.extend(parse_cache(cache)?);
+                if let Some(entries) = value.get("cache") {
+                    cache.extend(parse_cache(entries)?);
                 }
             }
             other => {
@@ -442,10 +486,10 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
             }
         }
     }
-    if !has_header {
-        return Err(CometError::Checkpoint(format!("{} has no checkpoint header", path.display())));
-    }
-    Ok(data)
+    let identity = identity.ok_or_else(|| {
+        CometError::Checkpoint(format!("{} has no checkpoint header", path.display()))
+    })?;
+    Ok(CheckpointData { identity, cache, iterations })
 }
 
 #[cfg(test)]
@@ -461,20 +505,15 @@ mod tests {
         dir.join(name)
     }
 
+    fn identity() -> SessionIdentity {
+        let config = CometConfig { segment_rows: 1024, ..CometConfig::default() };
+        SessionIdentity::new(0xDEAD_BEEF_CAFE_F00D, &[ErrorType::MissingValues], &config)
+    }
+
     #[test]
     fn writer_loader_roundtrip() {
         let path = temp_path("roundtrip.jsonl");
-        let mut w = CheckpointWriter::create(
-            &path,
-            0xDEAD_BEEF_CAFE_F00D,
-            0xFFFF_0000_1234_5678,
-            50.0,
-            KernelTier::Simd,
-            true,
-            0x1111_2222_3333_4444,
-            1024,
-        )
-        .unwrap();
+        let mut w = CheckpointWriter::create(&path, &identity()).unwrap();
         w.write_cache(&[(1, 2, 0.5)]).unwrap();
         w.write_iteration(
             &IterationCheckpoint {
@@ -488,14 +527,7 @@ mod tests {
         )
         .unwrap();
         let data = load(&path).unwrap();
-        assert_eq!(data.session_seed, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(data.config_fp, 0xFFFF_0000_1234_5678);
-        assert_eq!(data.budget_total, 50.0);
-        assert_eq!(data.kernel_tier, KernelTier::Simd);
-        assert_eq!(data.lane_count, 8);
-        assert!(data.f32_probes);
-        assert_eq!(data.detect_fp, 0x1111_2222_3333_4444);
-        assert_eq!(data.segment_rows, 1024);
+        assert_eq!(data.identity, identity());
         assert_eq!(data.cache, vec![(1, 2, 0.5), (u64::MAX, 3, 0.7125)]);
         assert_eq!(data.iterations.len(), 1);
         assert_eq!(
@@ -508,14 +540,31 @@ mod tests {
                 trace_fp: 0xABCD,
             }
         );
+        // The header is one line holding the whole identity.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let header = json::parse(text.lines().next().unwrap()).unwrap();
+        assert_eq!(header.get("version").and_then(JsonValue::as_f64), Some(2.0));
+        assert_eq!(header.get("identity").and_then(JsonValue::as_obj).unwrap().len(), 22);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn identity_mismatches_name_both_values_and_absent_keys() {
+        let base = identity();
+        assert!(base.mismatches(&base).is_empty());
+        let mut fewer = base.clone();
+        fewer.0.remove("budget");
+        assert_eq!(base.mismatches(&fewer), ["`budget` (checkpoint <absent>, session 50.0)"]);
+        assert_eq!(fewer.mismatches(&base), ["`budget` (checkpoint 50.0, session <absent>)"]);
+        let mut extra = base.clone();
+        extra.0.insert("label".into(), "x".into());
+        assert_eq!(base.mismatches(&extra), ["`label` (checkpoint x, session <absent>)"]);
     }
 
     #[test]
     fn truncated_tail_is_tolerated_missing_header_is_not() {
         let path = temp_path("truncated.jsonl");
-        let mut w =
-            CheckpointWriter::create(&path, 7, 8, 10.0, KernelTier::Scalar, false, 0, 64).unwrap();
+        let mut w = CheckpointWriter::create(&path, &identity()).unwrap();
         w.write_iteration(
             &IterationCheckpoint {
                 iteration: 0,
@@ -584,7 +633,7 @@ mod tests {
             fully_clean_f1: Some(0.9),
             ..CleaningTrace::default()
         };
-        let fp = |t: &CleaningTrace| trace_fingerprint(t, KernelTier::Scalar, false);
+        let fp = trace_fingerprint;
         let base_fp = fp(&base);
         assert_eq!(base_fp, fp(&base.clone()));
 
@@ -610,20 +659,13 @@ mod tests {
         let mut timed = base.clone();
         timed.iteration_runtimes.push(std::time::Duration::from_millis(1));
         assert_eq!(base_fp, fp(&timed));
-
-        // The kernel tier and probe precision seed the fingerprint: the
-        // same decisions under a different reduction order are a
-        // different trace identity.
-        assert_ne!(base_fp, trace_fingerprint(&base, KernelTier::Simd, false));
-        assert_ne!(base_fp, trace_fingerprint(&base, KernelTier::Scalar, true));
     }
 
     #[test]
-    fn pre_tier_headers_default_to_scalar_f64() {
-        // Checkpoints written before the kernel tiers existed carry no
-        // tier fields; they could only have come from the scalar/f64 code
-        // path and must load as such instead of erroring.
-        let path = temp_path("pre_tier.jsonl");
+    fn version_1_headers_are_refused() {
+        // Version-1 headers carried per-setting fields instead of the
+        // identity; they are refused by version, never read with defaults.
+        let path = temp_path("version_1.jsonl");
         std::fs::write(
             &path,
             "{\"kind\":\"checkpoint_header\",\"version\":1,\
@@ -631,66 +673,14 @@ mod tests {
              \"config_fp\":\"0000000000000008\",\"budget_total\":10}\n",
         )
         .unwrap();
-        let data = load(&path).unwrap();
-        assert_eq!(data.kernel_tier, KernelTier::Scalar);
-        assert_eq!(data.lane_count, 4);
-        assert!(!data.f32_probes);
-        // Pre-detection headers resume only against oracle mode.
-        assert_eq!(data.detect_fp, detect_fingerprint(&None));
-        // Pre-segmentation headers recorded the default layout.
-        assert_eq!(data.segment_rows, comet_frame::DEFAULT_SEGMENT_ROWS as u64);
-
-        // An unparseable tier name is corruption, not a default.
-        std::fs::write(
-            &path,
-            "{\"kind\":\"checkpoint_header\",\"version\":1,\
-             \"session_seed\":\"0000000000000007\",\
-             \"config_fp\":\"0000000000000008\",\"budget_total\":10,\
-             \"kernel_tier\":\"avx512\"}\n",
-        )
-        .unwrap();
         let err = load(&path).unwrap_err();
-        assert!(err.to_string().contains("avx512"), "{err}");
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+
+        // A version-2 header without an identity is corruption.
+        std::fs::write(&path, "{\"kind\":\"checkpoint_header\",\"version\":2}\n").unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.to_string().contains("identity"), "{err}");
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn config_fingerprint_tracks_config_and_errors() {
-        let c = CometConfig::default();
-        let errs = vec![ErrorType::MissingValues];
-        let fp = config_fingerprint(&c, &errs);
-        assert_eq!(fp, config_fingerprint(&c, &errs));
-        let other = CometConfig { budget: 49.0, ..c };
-        assert_ne!(fp, config_fingerprint(&other, &errs));
-        assert_ne!(fp, config_fingerprint(&c, &[ErrorType::MissingValues, ErrorType::Scaling]));
-        // The kernel tier and probe precision ride on the Debug format,
-        // so they are covered without explicit field handling.
-        let tiered = CometConfig { kernels: KernelTier::Simd, ..c };
-        assert_ne!(fp, config_fingerprint(&tiered, &errs));
-        let probed = CometConfig { f32_probes: true, ..c };
-        assert_ne!(fp, config_fingerprint(&probed, &errs));
-        // segment_rows rides on the Debug format too: a cross-segment-size
-        // resume is refused even before the explicit header check.
-        let resized = CometConfig { segment_rows: 1024, ..c };
-        assert_ne!(fp, config_fingerprint(&resized, &errs));
-    }
-
-    #[test]
-    fn detect_fingerprint_separates_modes_and_configs() {
-        let none = detect_fingerprint(&None);
-        assert_eq!(none, detect_fingerprint(&None));
-        let defaults = Some(DetectorConfig::default());
-        assert_ne!(none, detect_fingerprint(&defaults));
-        // Every knob is covered through the Debug format: thresholds...
-        let loose = Some(DetectorConfig { z_threshold: 6.0, ..DetectorConfig::default() });
-        assert_ne!(detect_fingerprint(&defaults), detect_fingerprint(&loose));
-        // ...and the enabled-detector set (name-based Debug, so this holds
-        // even if the bitset representation ever changes).
-        let fewer = Some(DetectorConfig {
-            enabled: comet_detect::DetectorSet::none()
-                .with(comet_detect::DetectorKind::MissingSentinel),
-            ..DetectorConfig::default()
-        });
-        assert_ne!(detect_fingerprint(&defaults), detect_fingerprint(&fewer));
     }
 }

@@ -7,6 +7,12 @@ use comet_ml::{Metric, RandomSearch};
 
 /// All knobs of a COMET run. Defaults follow the paper's experimental setup
 /// (§4); the ablation benchmarks flip individual switches.
+///
+/// Every field is one entry of a checkpoint's session identity (DESIGN.md
+/// §9), encoded by its derived `Debug`: a `--resume` under any changed
+/// field is refused with an error naming it. The identity destructures
+/// this struct without `..`, so a new field does not compile until it is
+/// part of the identity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CometConfig {
     /// Cleaning/pollution step as a fraction of the split size (§4.1: 1 %).
@@ -47,8 +53,7 @@ pub struct CometConfig {
     pub max_retries: usize,
     /// Kernel tier for all linear-algebra reductions (DESIGN.md §12).
     /// Each tier has one fixed reduction order, so the tier is part of the
-    /// session's determinism contract: it is fingerprinted, recorded in
-    /// checkpoint headers, and a resume under a different tier is refused.
+    /// session's determinism contract (and of its checkpoint identity).
     /// Defaults to the `COMET_KERNELS` environment variable, else scalar.
     pub kernels: KernelTier,
     /// Run the Estimator's inner pollution-probe evaluations with f32
@@ -58,17 +63,15 @@ pub struct CometConfig {
     pub f32_probes: bool,
     /// Detection-seeded mode: when set, candidate `(feature, error)` pairs
     /// come from a deterministic detector ensemble scanning the dirty
-    /// frames instead of the JENGA provenance oracle (DESIGN.md §13). The
-    /// detector configuration is part of the session identity: it is
-    /// fingerprinted into checkpoint headers and a resume under a
-    /// different configuration is refused. `None` = oracle mode (the
+    /// frames instead of the JENGA provenance oracle (DESIGN.md §13): it
+    /// decides which candidate pairs exist. `None` = oracle mode (the
     /// paper's setup).
     pub detect: Option<DetectorConfig>,
     /// Rows per column segment (DESIGN.md §15). `0` = whole-column (one
     /// segment per column). Traces are bit-identical across segment sizes,
     /// but spill files, feature-block cache keys, and pollution clone
-    /// granularity are per-segment, so the value is fingerprinted into
-    /// checkpoint headers and a cross-segment-size resume is refused.
+    /// granularity are per-segment, so a cross-segment-size resume is
+    /// refused all the same.
     pub segment_rows: usize,
 }
 
@@ -114,8 +117,8 @@ impl CometConfig {
         if !(self.interval > 0.0 && self.interval < 1.0) {
             return Err(format!("interval must be in (0,1), got {}", self.interval));
         }
-        if self.budget < 0.0 {
-            return Err("budget must be non-negative".into());
+        if !(self.budget >= 0.0 && self.budget.is_finite()) {
+            return Err(format!("budget must be finite and non-negative, got {}", self.budget));
         }
         if self.batch_size == 0 {
             return Err("batch_size must be at least 1".into());
@@ -163,6 +166,8 @@ mod tests {
             CometConfig { n_combinations: 0, ..CometConfig::default() },
             CometConfig { interval: 1.0, ..CometConfig::default() },
             CometConfig { budget: -1.0, ..CometConfig::default() },
+            CometConfig { budget: f64::NAN, ..CometConfig::default() },
+            CometConfig { budget: f64::INFINITY, ..CometConfig::default() },
             CometConfig { batch_size: 0, ..CometConfig::default() },
             CometConfig {
                 detect: Some(comet_detect::DetectorConfig {

@@ -1,17 +1,25 @@
 //! The COMET outer loop: iterate Polluter → Estimator → Recommender →
 //! (simulated) Cleaner until the budget is spent or the data is clean.
+//!
+//! [`CleaningSession::run`] is a short loop over private phase
+//! functions that share one [`SessionState`]: candidate estimation,
+//! ranking, cleaning (batch, step by step, then fallback), and the
+//! iteration end (spill health check, metrics, checkpoint, progress).
 
 use crate::budget::Budget;
-use crate::checkpoint::{self, CheckpointSpec, CheckpointWriter, CountingRng, IterationCheckpoint};
+use crate::checkpoint::{
+    trace_fingerprint, CheckpointSpec, CheckpointWriter, CountingRng, IterationCheckpoint,
+    SessionIdentity,
+};
 use crate::config::CometConfig;
 use crate::control::{SessionControl, SessionProgress, StopReason};
-use crate::env::{CleaningEnvironment, EnvError};
+use crate::env::{CacheStats, CleaningEnvironment, EnvError};
 use crate::error::CometError;
 use crate::estimator::{Estimate, Estimator};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::metrics::{IterationMetrics, PhaseNanos, RunMetrics};
 use crate::polluter::Polluter;
-use crate::recommender::Recommender;
+use crate::recommender::{Candidate, Recommender};
 use crate::trace::{CleaningTrace, FailureRecord, StepAction, StepRecord};
 use comet_jenga::ErrorType;
 use rand::rngs::StdRng;
@@ -21,11 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Derive the private rng seed of one candidate's what-if pollution from
-/// the session seed and the candidate's identity (FxHash-style mixing).
-/// Giving every `(col, err, iteration)` its own stream — instead of letting
-/// candidates share the session rng — is what makes the parallel candidate
-/// fan-out produce traces bit-identical to a sequential run.
 /// Fault injection's `TrainingPanic` arm: a *real* panic, thrown on purpose
 /// so tests prove `par_map_catch` contains worker unwinds.
 #[allow(clippy::panic)]
@@ -34,6 +37,11 @@ fn injected_training_panic(iteration: usize, col: usize, err: ErrorType) -> ! {
     panic!("injected fault: training panic at iteration {iteration} candidate ({col}, {err:?})");
 }
 
+/// Derive the private rng seed of one candidate's what-if pollution from
+/// the session seed and the candidate's identity (FxHash-style mixing).
+/// Giving every `(col, err, iteration)` its own stream — instead of letting
+/// candidates share the session rng — is what makes the parallel candidate
+/// fan-out produce traces bit-identical to a sequential run.
 fn candidate_seed(session_seed: u64, col: usize, err: ErrorType, iteration: usize) -> u64 {
     const M: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut h = session_seed;
@@ -43,31 +51,66 @@ fn candidate_seed(session_seed: u64, col: usize, err: ErrorType, iteration: usiz
     h
 }
 
-/// Run `f`, adding its elapsed nanoseconds to `acc` when `on`. The
-/// accumulators are per-iteration `AtomicU64`s so the same helper serves
-/// the sequential phases and the pollute/estimate work inside the
-/// parallel candidate fan-out (where workers add concurrently).
-fn timed<T>(on: bool, acc: &AtomicU64, f: impl FnOnce() -> T) -> T {
-    if !on {
-        return f();
-    }
-    // comet-lint: allow(D3) — observability: metrics phase timing; never feeds a trace decision
-    let started = Instant::now();
-    let out = f();
-    // comet-lint: allow(D9) — monotonic metrics accumulator; only read at report time, no ordering needed
-    acc.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
+/// The `comet_obs` duration histogram of each phase, in
+/// [`crate::metrics::PHASES`] order.
+const PHASE_HISTOGRAMS: [&str; 6] = [
+    "session.phase.pollute",
+    "session.phase.estimate",
+    "session.phase.rank",
+    "session.phase.clean_step",
+    "session.phase.evaluate",
+    "session.phase.fallback",
+];
+
+/// One iteration's phase accumulators. `AtomicU64`s so the same clock
+/// serves the sequential phases and the pollute/estimate work inside the
+/// parallel candidate fan-out (where workers add concurrently). Reads the
+/// wall clock only when `on`; nothing ever branches on its values.
+#[derive(Default)]
+struct PhaseClock {
+    on: bool,
+    pollute: AtomicU64,
+    estimate: AtomicU64,
+    rank: AtomicU64,
+    clean_step: AtomicU64,
+    evaluate: AtomicU64,
+    fallback: AtomicU64,
 }
 
-/// A configured COMET run over a fixed set of candidate error types
-/// (single-error scenario: one type; multi-error: all four).
-#[derive(Debug, Clone)]
-pub struct CleaningSession {
-    config: CometConfig,
-    errors: Vec<ErrorType>,
-    faults: Option<Arc<FaultPlan>>,
-    checkpoint: Option<CheckpointSpec>,
-    control: Option<SessionControl>,
+impl PhaseClock {
+    /// Run `f`, adding its elapsed nanoseconds to `acc` when the clock is on.
+    fn time<T>(&self, acc: &AtomicU64, f: impl FnOnce() -> T) -> T {
+        if !self.on {
+            return f();
+        }
+        // comet-lint: allow(D3) — observability: metrics phase timing; never feeds a trace decision
+        let started = Instant::now();
+        let out = f();
+        // comet-lint: allow(D9) — monotonic metrics accumulator; only read at report time, no ordering needed
+        acc.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
+    fn phases(self) -> PhaseNanos {
+        PhaseNanos {
+            pollute: self.pollute.into_inner(),
+            estimate: self.estimate.into_inner(),
+            rank: self.rank.into_inner(),
+            clean_step: self.clean_step.into_inner(),
+            evaluate: self.evaluate.into_inner(),
+            fallback: self.fallback.into_inner(),
+        }
+    }
+}
+
+/// What one iteration's metrics record is measured against: its phase
+/// clock and the counters as the iteration began.
+struct IterationStart {
+    clock: PhaseClock,
+    candidates: usize,
+    cache: CacheStats,
+    records: usize,
+    failures: usize,
 }
 
 /// How one candidate evaluation attempt ended: a usable estimate, or a
@@ -87,6 +130,97 @@ fn classify(outcome: Result<Result<Estimate, EnvError>, String>) -> Result<Estim
         Ok(Err(e)) => Err(format!("estimator failure: {e}")),
         Err(panic) => Err(format!("panic: {panic}")),
     }
+}
+
+/// Everything the loop carries from one iteration to the next.
+struct SessionState {
+    /// The current outer-loop iteration.
+    iteration: usize,
+    budget: Budget,
+    /// Cleaning steps taken per candidate (drives the cost models).
+    steps_done: BTreeMap<(usize, ErrorType), usize>,
+    /// F1 of the accepted data state.
+    current_f1: f64,
+    trace: CleaningTrace,
+    estimator: Estimator,
+    recommender: Recommender,
+}
+
+impl SessionState {
+    fn new(config: &CometConfig, env: &CleaningEnvironment) -> Result<Self, CometError> {
+        let initial_f1 = env.evaluate()?;
+        Ok(SessionState {
+            iteration: 0,
+            budget: Budget::new(config.budget),
+            steps_done: BTreeMap::new(),
+            current_f1: initial_f1,
+            trace: CleaningTrace {
+                initial_f1,
+                fully_clean_f1: Some(env.fully_cleaned_f1()?),
+                ..CleaningTrace::default()
+            },
+            estimator: Estimator::new(config.blr_degree, config.interval, config.bias_correction),
+            recommender: Recommender::new(config.use_uncertainty),
+        })
+    }
+
+    /// Cost of the next cleaning step on `pair` under `config`'s policy.
+    fn next_cost(&self, config: &CometConfig, pair: (usize, ErrorType)) -> f64 {
+        config.costs.next_cost(pair.1, self.steps_done.get(&pair).copied().unwrap_or(0))
+    }
+
+    /// Pay for one cleaning step on `pair`.
+    fn charge(&mut self, cost: f64, pair: (usize, ErrorType)) {
+        self.budget.try_spend(cost);
+        *self.steps_done.entry(pair).or_default() += 1;
+    }
+
+    /// Append a step record, stamped with this iteration and the budget
+    /// spent so far. `estimate` is the ranked prediction behind the step
+    /// (none for fallback steps).
+    fn record(
+        &mut self,
+        (col, err): (usize, ErrorType),
+        action: StepAction,
+        cost: f64,
+        estimate: Option<&Estimate>,
+        actual_f1: f64,
+        cleaned_cells: usize,
+    ) {
+        self.trace.records.push(StepRecord {
+            iteration: self.iteration,
+            col,
+            err,
+            action,
+            cost,
+            budget_spent: self.budget.spent(),
+            predicted_f1: estimate.map(|e| e.predicted_f1),
+            raw_predicted_f1: estimate.map(|e| e.raw_predicted_f1),
+            actual_f1,
+            cleaned_cells,
+        });
+    }
+
+    /// Add the current `(budget spent, F1)` point to the F1 curve.
+    fn mark_curve(&mut self) {
+        self.trace.f1_curve.push((self.budget.spent(), self.current_f1));
+    }
+
+    /// Is `f1` no worse than the accepted state's F1?
+    fn improves(&self, f1: f64) -> bool {
+        f1 >= self.current_f1 - 1e-12
+    }
+}
+
+/// A configured COMET run over a fixed set of candidate error types
+/// (single-error scenario: one type; multi-error: all four).
+#[derive(Debug, Clone)]
+pub struct CleaningSession {
+    config: CometConfig,
+    errors: Vec<ErrorType>,
+    faults: Option<Arc<FaultPlan>>,
+    checkpoint: Option<CheckpointSpec>,
+    control: Option<SessionControl>,
 }
 
 /// The result of a session.
@@ -164,726 +298,476 @@ impl CleaningSession {
         if let Some(detect) = self.config.detect {
             env.enable_detection(detect);
         }
-
         // Count sequential rng draws so checkpoints can verify a resumed
         // replay consumes randomness identically.
         let rng = &mut CountingRng::new(rng);
-        let mut budget = Budget::new(self.config.budget);
-        let polluter = Polluter::from_config(&self.config);
-        let mut estimator = Estimator::new(
-            self.config.blr_degree,
-            self.config.interval,
-            self.config.bias_correction,
-        );
-        let mut recommender = Recommender::new(self.config.use_uncertainty);
-        let mut steps_done: BTreeMap<(usize, ErrorType), usize> = BTreeMap::new();
-
         // All candidate randomness derives from this one draw (see
         // [`candidate_seed`]); the caller's rng is then only consumed by the
         // strictly sequential cleaning steps. Drawn before the first model
         // evaluation so a resume can verify seed identity up front.
-        let session_seed: u64 = rng.next_u64();
-
-        // Checkpointing: on resume, load the interrupted run's cache and
-        // per-iteration records first — the preloaded cache is what makes
-        // the replay below both cheap and bit-identical (the warm-cache
-        // determinism property) — then rewrite the file from scratch.
-        let config_fp = checkpoint::config_fingerprint(&self.config, &self.errors);
-        let detect_fp = checkpoint::detect_fingerprint(&self.config.detect);
-        let mut resume_data = None;
-        let writer = match &self.checkpoint {
+        let session_seed = rng.next_u64();
+        let mut writer = match &self.checkpoint {
             Some(spec) => {
-                if spec.resume {
-                    let data = checkpoint::load(&spec.path)?;
-                    // Tier checks come before the config fingerprint: a
-                    // mismatched reduction order gets its own loud error
-                    // naming both sides, not a generic config complaint.
-                    if data.kernel_tier != self.config.kernels
-                        || data.lane_count != self.config.kernels.lanes() as u64
-                    {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded under kernel tier {} ({} lanes); this \
-                             session runs {} ({} lanes) — evaluation scores are not comparable \
-                             across reduction orders, refusing to resume",
-                            data.kernel_tier,
-                            data.lane_count,
-                            self.config.kernels,
-                            self.config.kernels.lanes(),
-                        )));
-                    }
-                    if data.f32_probes != self.config.f32_probes {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded with f32_probes={}, resumed with \
-                             f32_probes={} — probe precision changes cached scores, refusing \
-                             to resume",
-                            data.f32_probes, self.config.f32_probes
-                        )));
-                    }
-                    if data.detect_fp != detect_fp {
-                        // Typed as Invalid, not Checkpoint: the file is
-                        // fine, the caller's detector configuration is what
-                        // contradicts the recorded session identity.
-                        return Err(CometError::Invalid(format!(
-                            "checkpoint was recorded under detection setup {:016x}, this session \
-                             runs {:016x} — the detector configuration decides which candidate \
-                             pairs exist, refusing to resume",
-                            data.detect_fp, detect_fp
-                        )));
-                    }
-                    if data.segment_rows != self.config.segment_rows as u64 {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded with segment_rows={}, resumed with \
-                             segment_rows={} — spill files and feature blocks are addressed \
-                             per segment, refusing to resume",
-                            data.segment_rows, self.config.segment_rows
-                        )));
-                    }
-                    if data.session_seed != session_seed {
-                        return Err(CometError::Checkpoint(format!(
-                            "checkpoint was recorded under session seed {:016x}, resumed with {:016x}",
-                            data.session_seed, session_seed
-                        )));
-                    }
-                    if data.config_fp != config_fp {
-                        return Err(CometError::Checkpoint(
-                            "checkpoint config does not match this session".into(),
-                        ));
-                    }
-                    env.preload_cache(&data.cache);
-                    let mut w = CheckpointWriter::create(
-                        &spec.path,
-                        session_seed,
-                        config_fp,
-                        self.config.budget,
-                        self.config.kernels,
-                        self.config.f32_probes,
-                        detect_fp,
-                        self.config.segment_rows,
-                    )?;
-                    w.write_cache(&data.cache)?;
-                    resume_data = Some(data);
-                    Some(w)
-                } else {
-                    Some(CheckpointWriter::create(
-                        &spec.path,
-                        session_seed,
-                        config_fp,
-                        self.config.budget,
-                        self.config.kernels,
-                        self.config.f32_probes,
-                        detect_fp,
-                        self.config.segment_rows,
-                    )?)
-                }
+                let identity = SessionIdentity::new(session_seed, &self.errors, &self.config);
+                Some(CheckpointWriter::open(spec, &identity, env, self.faults.clone())?)
             }
             None => None,
         };
-        // A planned CheckpointWriteError fires from inside the writer, so
-        // the injected failure travels the exact production I/O error path.
-        let writer = writer.map(|w| match &self.faults {
-            Some(plan) => w.with_faults(Arc::clone(plan)),
-            None => w,
-        });
-        let mut writer = writer;
-
-        let mut trace = CleaningTrace {
-            initial_f1: env.evaluate()?,
-            fully_clean_f1: Some(env.fully_cleaned_f1()?),
-            ..CleaningTrace::default()
-        };
-        let mut current_f1 = trace.initial_f1;
-
+        let mut state = SessionState::new(&self.config, env)?;
         // Metrics are collected only while `comet_obs` recording is on;
-        // nothing below may branch on collected values, so instrumented
-        // runs stay bit-identical to bare ones.
+        // nothing may branch on collected values, so instrumented runs stay
+        // bit-identical to bare ones.
         let metrics_on = comet_obs::enabled();
-        let mut run_metrics = if metrics_on { Some(RunMetrics::default()) } else { None };
-
+        let mut metrics = metrics_on.then(RunMetrics::default);
         // The initial publish makes the dirty baseline visible to status
         // polls before the first iteration lands.
-        if let Some(control) = &self.control {
-            control.publish(SessionProgress {
-                iterations: 0,
-                initial_f1: trace.initial_f1,
-                best_f1: trace.initial_f1,
-                budget_spent: 0.0,
-                steps: Vec::new(),
-            });
-        }
+        self.publish(&state, 0);
 
-        let mut stopped: Option<StopReason> = None;
+        let mut stop = None;
         for iteration in 0..10_000usize {
+            state.iteration = iteration;
             // Cooperative stop: a cancel or an expired deadline raised by
             // the supervisor takes effect here, between iterations. All
             // completed iterations are already checkpointed, so stopping
-            // loses nothing — the partial trace below is a normal outcome.
+            // loses nothing — the partial trace is a normal outcome.
             if let Some(reason) = self.control.as_ref().and_then(SessionControl::stop_requested) {
                 comet_obs::counter_add("session.stopped_early", 1);
-                stopped = Some(reason);
+                stop = Some(reason);
                 break;
             }
             // An exhausted budget still admits zero-cost productive
             // actions: buffered re-applications and free follow-up steps
             // under `OneShot { rest: 0.0 }` cost models. Breaking outright
             // here starved those (the free-step starvation bug).
-            if budget.exhausted() && !self.free_action_available(env, &recommender, &steps_done) {
+            if state.budget.exhausted() && !self.free_action_available(env, &state) {
                 break;
             }
-            let dirty_pairs = env.candidate_pairs(&self.errors);
-            if dirty_pairs.is_empty() {
+            let pairs = env.candidate_pairs(&self.errors);
+            if pairs.is_empty() {
                 break;
             }
-            let cache_before = env.cache_stats();
-            let records_before = trace.records.len();
-            let candidates = dirty_pairs.len();
-            let pollute_nanos = AtomicU64::new(0);
-            let estimate_nanos = AtomicU64::new(0);
-            let rank_nanos = AtomicU64::new(0);
-            let clean_step_nanos = AtomicU64::new(0);
-            let evaluate_nanos = AtomicU64::new(0);
-            let fallback_nanos = AtomicU64::new(0);
-
-            // --- Produce the recommendation (the RQ6-timed phase). ---
-            // Candidates are independent given their derived seeds, so the
-            // pollute → estimate pipeline fans out across worker threads.
-            // `par_map` returns results in `dirty_pairs` order, making the
-            // ranking input — and hence the whole trace — independent of
-            // the thread count.
+            let start = IterationStart {
+                clock: PhaseClock { on: metrics_on, ..PhaseClock::default() },
+                candidates: pairs.len(),
+                cache: env.cache_stats(),
+                records: state.trace.records.len(),
+                failures: state.trace.failures.len(),
+            };
+            // The recommendation itself is the RQ6-timed part.
             // comet-lint: allow(D3) — observability: iteration runtime for reports; never feeds a trace decision
             let started = Instant::now();
-            let (estimates, iteration_failures): (Vec<Estimate>, Vec<FailureRecord>) = {
-                let env_ref: &CleaningEnvironment = env;
-                let estimator_ref = &estimator;
-                let pollute_acc = &pollute_nanos;
-                let estimate_acc = &estimate_nanos;
-                let faults = self.faults.as_deref();
-                let eval_candidate =
-                    |(col, err): (usize, ErrorType)| -> Result<Estimate, EnvError> {
-                        let fault = faults.and_then(|p| p.arm(iteration, col, err));
-                        if fault == Some(FaultKind::EstimatorFailure) {
-                            return Err(EnvError::Invalid(format!(
-                                "injected fault: estimator failure at candidate ({col}, {err:?})"
-                            )));
-                        }
-                        if fault == Some(FaultKind::TrainingPanic) {
-                            injected_training_panic(iteration, col, err);
-                        }
-                        let seed = candidate_seed(session_seed, col, err, iteration);
-                        let mut cand_rng = StdRng::seed_from_u64(seed);
-                        // Workers add into shared accumulators, so these two
-                        // phases measure aggregate worker time (they can
-                        // exceed the iteration's wall clock).
-                        let variants = timed(metrics_on, pollute_acc, || {
-                            polluter.variants(env_ref, col, err, &mut cand_rng)
-                        })?;
-                        let mut est = timed(metrics_on, estimate_acc, || {
-                            estimator_ref.estimate(env_ref, col, err, current_f1, &variants)
-                        })?;
-                        if fault == Some(FaultKind::NanLoss) {
-                            est.raw_predicted_f1 = f64::NAN;
-                            est.predicted_f1 = f64::NAN;
-                        }
-                        Ok(est)
-                    };
-                // Panics are caught per candidate inside the fan-out
-                // (`par_map_catch`): a failed candidate becomes an `Err`
-                // slot in input order instead of killing the session.
-                let attempts = comet_par::par_map_catch(dirty_pairs.clone(), eval_candidate);
-                let mut estimates = Vec::with_capacity(dirty_pairs.len());
-                let mut failures = Vec::new();
-                for (outcome, &(col, err)) in attempts.into_iter().zip(dirty_pairs.iter()) {
-                    let mut result = classify(outcome);
-                    let mut retries = 0u32;
-                    // Failed candidates retry sequentially, in input order,
-                    // re-deriving the same candidate seed — retries stay
-                    // deterministic and thread-count independent.
-                    while result.is_err() && (retries as usize) < self.config.max_retries {
-                        retries += 1;
-                        comet_obs::counter_add("fault.retries", 1);
-                        #[allow(clippy::expect_used)]
-                        let attempt = comet_par::par_map_catch(vec![(col, err)], eval_candidate)
-                            .pop()
-                            // comet-lint: allow(D4) — par_map_catch's one-in/one-out contract is proptested in comet-par
-                            .expect("one item in, one result out");
-                        result = classify(attempt);
-                        if result.is_ok() {
-                            comet_obs::counter_add("fault.recovered", 1);
-                        }
-                    }
-                    match result {
-                        Ok(est) => estimates.push(est),
-                        Err(reason) => {
-                            comet_obs::counter_add("fault.candidate_failures", 1);
-                            failures.push(FailureRecord { iteration, col, err, reason, retries });
-                        }
-                    }
-                }
-                (estimates, failures)
-            };
-            let failures_this_iteration = iteration_failures.len();
-            trace.failures.extend(iteration_failures);
-            // Costs pair with `estimates` by index in `rank`, so they are
-            // built from the surviving estimates, not from `dirty_pairs`
-            // (failed candidates are absent).
-            let costs: Vec<f64> = estimates
-                .iter()
-                .map(|est| {
-                    let done = steps_done.get(&(est.col, est.err)).copied().unwrap_or(0);
-                    self.config.costs.next_cost(est.err, done)
-                })
-                .collect();
-            let ranked = timed(metrics_on, &rank_nanos, || recommender.rank(estimates, &costs));
-            trace.iteration_runtimes.push(started.elapsed());
-
-            // --- Execute recommendations until one sticks. ---
-            let mut progressed = false;
-
-            // Batched mode (future-work extension, §6): clean the top-k
-            // candidates together, evaluate once, accept or revert the
-            // whole batch. Falls through to the step-by-step path when
-            // fewer than two fresh candidates are available.
-            if self.config.batch_size > 1 {
-                let mut selected: Vec<&crate::recommender::Candidate> = Vec::new();
-                let mut planned_cost = 0.0;
-                for cand in &ranked {
-                    if selected.len() == self.config.batch_size {
-                        break;
-                    }
-                    let (col, err) = (cand.estimate.col, cand.estimate.err);
-                    if recommender.buffer_contains(col, err) {
-                        continue; // buffered states are handled one by one
-                    }
-                    if budget.can_afford(planned_cost + cand.cost) {
-                        planned_cost += cand.cost;
-                        selected.push(cand);
-                    }
-                }
-                if selected.len() > 1 {
-                    let mut pre_snaps = Vec::with_capacity(selected.len());
-                    for cand in &selected {
-                        pre_snaps.push(env.snapshot(cand.estimate.col)?);
-                    }
-                    let mut cleaned_counts = Vec::with_capacity(selected.len());
-                    let mut any_cleaned = false;
-                    for cand in &selected {
-                        let (col, err) = (cand.estimate.col, cand.estimate.err);
-                        let (ctr, cte) = timed(metrics_on, &clean_step_nanos, || {
-                            env.clean_step(
-                                col,
-                                err,
-                                &cand.estimate.flagged_train,
-                                &cand.estimate.flagged_test,
-                                rng,
-                            )
-                        })?;
-                        cleaned_counts.push(ctr + cte);
-                        any_cleaned |= ctr + cte > 0;
-                    }
-                    if any_cleaned {
-                        // Charge, count, and learn from only the members
-                        // that actually cleaned cells — parity with the
-                        // step-by-step path's zero-cell skip. A member
-                        // whose pair was already clean did no work and
-                        // must not consume budget or produce a record.
-                        for (i, cand) in selected.iter().enumerate() {
-                            if cleaned_counts[i] == 0 {
-                                continue;
-                            }
-                            budget.try_spend(cand.cost);
-                            *steps_done
-                                .entry((cand.estimate.col, cand.estimate.err))
-                                .or_default() += 1;
-                        }
-                        let f1 = timed(metrics_on, &evaluate_nanos, || env.evaluate())?;
-                        for (i, cand) in selected.iter().enumerate() {
-                            if cleaned_counts[i] == 0 {
-                                continue;
-                            }
-                            estimator.record_outcome(
-                                cand.estimate.col,
-                                cand.estimate.err,
-                                cand.estimate.raw_predicted_f1,
-                                f1,
-                            );
-                            recommender.record_post_clean_f1(
-                                cand.estimate.col,
-                                cand.estimate.err,
-                                f1,
-                            );
-                        }
-                        let keep = f1 >= current_f1 - 1e-12 || !self.config.revert_on_decrease;
-                        if keep {
-                            current_f1 = f1;
-                        } else {
-                            // Buffer each cleaned column (zero-cell
-                            // members have nothing to buffer), then
-                            // revert all.
-                            for (i, cand) in selected.iter().enumerate() {
-                                if cleaned_counts[i] == 0 {
-                                    continue;
-                                }
-                                let cleaned_state = env.snapshot(cand.estimate.col)?;
-                                recommender.buffer_store(
-                                    cand.estimate.col,
-                                    cand.estimate.err,
-                                    cleaned_state,
-                                );
-                            }
-                            for pre in &pre_snaps {
-                                env.restore(pre)?;
-                            }
-                        }
-                        for (i, cand) in selected.iter().enumerate() {
-                            if cleaned_counts[i] == 0 {
-                                continue;
-                            }
-                            trace.records.push(StepRecord {
-                                iteration,
-                                col: cand.estimate.col,
-                                err: cand.estimate.err,
-                                action: if keep {
-                                    StepAction::Accepted
-                                } else {
-                                    StepAction::Reverted
-                                },
-                                cost: cand.cost,
-                                budget_spent: budget.spent(),
-                                predicted_f1: Some(cand.estimate.predicted_f1),
-                                raw_predicted_f1: Some(cand.estimate.raw_predicted_f1),
-                                actual_f1: f1,
-                                cleaned_cells: cleaned_counts[i],
-                            });
-                        }
-                        trace.f1_curve.push((budget.spent(), current_f1));
-                        if keep {
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-
-            for cand in &ranked {
-                if progressed {
-                    break;
-                }
-                let (col, err) = (cand.estimate.col, cand.estimate.err);
-
-                // A buffered cleaned state re-applies for free (§3.3).
-                // (`buffer_take` is its own existence check — no unwrap.)
-                if let Some(buffered) = recommender.buffer_take(col, err) {
-                    let pre = env.snapshot(col)?;
-                    env.restore(&buffered)?;
-                    let f1 = timed(metrics_on, &evaluate_nanos, || env.evaluate())?;
-                    if f1 >= current_f1 - 1e-12 {
-                        current_f1 = f1;
-                        recommender.record_post_clean_f1(col, err, f1);
-                        trace.records.push(StepRecord {
-                            iteration,
-                            col,
-                            err,
-                            action: StepAction::BufferApplied,
-                            cost: 0.0,
-                            budget_spent: budget.spent(),
-                            predicted_f1: Some(cand.estimate.predicted_f1),
-                            raw_predicted_f1: Some(cand.estimate.raw_predicted_f1),
-                            actual_f1: f1,
-                            cleaned_cells: 0,
-                        });
-                        trace.f1_curve.push((budget.spent(), f1));
-                        progressed = true;
-                        break;
-                    }
-                    env.restore(&pre)?;
-                    recommender.buffer_store(col, err, buffered);
-                    continue;
-                }
-
-                if !budget.can_afford(cand.cost) {
-                    continue;
-                }
-                let pre = env.snapshot(col)?;
-                let (ctr, cte) = timed(metrics_on, &clean_step_nanos, || {
-                    env.clean_step(
-                        col,
-                        err,
-                        &cand.estimate.flagged_train,
-                        &cand.estimate.flagged_test,
-                        rng,
-                    )
-                })?;
-                if ctr + cte == 0 {
-                    continue;
-                }
-                budget.try_spend(cand.cost);
-                *steps_done.entry((col, err)).or_default() += 1;
-                let f1 = timed(metrics_on, &evaluate_nanos, || env.evaluate())?;
-                estimator.record_outcome(col, err, cand.estimate.raw_predicted_f1, f1);
-                recommender.record_post_clean_f1(col, err, f1);
-
-                if f1 >= current_f1 - 1e-12 || !self.config.revert_on_decrease {
-                    current_f1 = f1;
-                    trace.records.push(StepRecord {
-                        iteration,
-                        col,
-                        err,
-                        action: StepAction::Accepted,
-                        cost: cand.cost,
-                        budget_spent: budget.spent(),
-                        predicted_f1: Some(cand.estimate.predicted_f1),
-                        raw_predicted_f1: Some(cand.estimate.raw_predicted_f1),
-                        actual_f1: f1,
-                        cleaned_cells: ctr + cte,
-                    });
-                    trace.f1_curve.push((budget.spent(), f1));
-                    progressed = true;
-                    break;
-                }
-
-                // Revert, but keep the paid work in the cleaning buffer.
-                let cleaned_state = env.snapshot(col)?;
-                env.restore(&pre)?;
-                recommender.buffer_store(col, err, cleaned_state);
-                trace.records.push(StepRecord {
-                    iteration,
-                    col,
-                    err,
-                    action: StepAction::Reverted,
-                    cost: cand.cost,
-                    budget_spent: budget.spent(),
-                    predicted_f1: Some(cand.estimate.predicted_f1),
-                    raw_predicted_f1: Some(cand.estimate.raw_predicted_f1),
-                    actual_f1: f1,
-                    cleaned_cells: ctr + cte,
-                });
-                trace.f1_curve.push((budget.spent(), current_f1));
-            }
-
-            // --- Fallback (§3.3, step E). ---
-            // When no candidate is predicted to improve (or all ranked ones
-            // were reverted), the fallback commits to cleaning the candidate
-            // with the historically best post-cleaning F1 and *keeps* the
-            // result even if F1 temporarily dips — the paper's own Figure 7
-            // shows COMET's trajectory fluctuating exactly this way. This
-            // also guarantees progress: every fallback step reduces dirt.
-            if !progressed && self.config.fallback {
-                // Timed as one block (including its cleaning and
-                // evaluation) so the inner calls are not double-counted
-                // into the clean_step/evaluate phases.
-                // comet-lint: allow(D3) — observability: metrics phase timing; never feeds a trace decision
-                let fallback_started = if metrics_on { Some(Instant::now()) } else { None };
-                let dirty_now = env.candidate_pairs(&self.errors);
-                if let Some((col, err)) = recommender.fallback(&dirty_now) {
-                    if let Some(buffered) = recommender.buffer_take(col, err) {
-                        env.restore(&buffered)?;
-                        let f1 = env.evaluate()?;
-                        current_f1 = f1;
-                        recommender.record_post_clean_f1(col, err, f1);
-                        trace.records.push(StepRecord {
-                            iteration,
-                            col,
-                            err,
-                            action: StepAction::Fallback,
-                            cost: 0.0,
-                            budget_spent: budget.spent(),
-                            predicted_f1: None,
-                            raw_predicted_f1: None,
-                            actual_f1: f1,
-                            cleaned_cells: 0,
-                        });
-                        trace.f1_curve.push((budget.spent(), f1));
-                        progressed = true;
-                    } else {
-                        let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
-                        let cost = self.config.costs.next_cost(err, done);
-                        if budget.can_afford(cost) {
-                            let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
-                            if ctr + cte > 0 {
-                                budget.try_spend(cost);
-                                *steps_done.entry((col, err)).or_default() += 1;
-                                let f1 = env.evaluate()?;
-                                current_f1 = f1;
-                                recommender.record_post_clean_f1(col, err, f1);
-                                trace.records.push(StepRecord {
-                                    iteration,
-                                    col,
-                                    err,
-                                    action: StepAction::Fallback,
-                                    cost,
-                                    budget_spent: budget.spent(),
-                                    predicted_f1: None,
-                                    raw_predicted_f1: None,
-                                    actual_f1: f1,
-                                    cleaned_cells: ctr + cte,
-                                });
-                                trace.f1_curve.push((budget.spent(), f1));
-                                progressed = true;
-                            }
-                        }
-                    }
-                }
-                if let Some(t) = fallback_started {
-                    // comet-lint: allow(D9) — metrics accumulator for fallback timing; report-only
-                    fallback_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            }
-
-            // Spill-tier health check at the iteration boundary: a failed
-            // segment write or reload mid-iteration degraded the affected
-            // cells to missing (libraries never panic on I/O), which would
-            // silently corrupt every later decision. Surface the sticky
-            // error and fail the session loudly instead.
-            if comet_frame::spill_is_configured() {
-                if let Some(cause) = comet_frame::spill_take_error() {
-                    return Err(CometError::Invalid(format!(
-                        "segment spill tier failed during iteration {iteration}: {cause}"
-                    )));
-                }
-                comet_frame::spill_publish_resident_gauge();
-            }
-
-            if let Some(rm) = run_metrics.as_mut() {
-                let phases = PhaseNanos {
-                    pollute: pollute_nanos.into_inner(),
-                    estimate: estimate_nanos.into_inner(),
-                    rank: rank_nanos.into_inner(),
-                    clean_step: clean_step_nanos.into_inner(),
-                    evaluate: evaluate_nanos.into_inner(),
-                    fallback: fallback_nanos.into_inner(),
-                };
-                comet_obs::counter_add("session.iterations", 1);
-                comet_obs::observe_duration(
-                    "session.phase.pollute",
-                    Duration::from_nanos(phases.pollute),
-                );
-                comet_obs::observe_duration(
-                    "session.phase.estimate",
-                    Duration::from_nanos(phases.estimate),
-                );
-                comet_obs::observe_duration(
-                    "session.phase.rank",
-                    Duration::from_nanos(phases.rank),
-                );
-                comet_obs::observe_duration(
-                    "session.phase.clean_step",
-                    Duration::from_nanos(phases.clean_step),
-                );
-                comet_obs::observe_duration(
-                    "session.phase.evaluate",
-                    Duration::from_nanos(phases.evaluate),
-                );
-                comet_obs::observe_duration(
-                    "session.phase.fallback",
-                    Duration::from_nanos(phases.fallback),
-                );
-                let cache_now = env.cache_stats();
-                let it = IterationMetrics {
-                    iteration,
-                    candidates,
-                    records: trace.records.len() - records_before,
-                    cache_hits: cache_now.hits - cache_before.hits,
-                    cache_misses: cache_now.misses - cache_before.misses,
-                    budget_spent: budget.spent(),
-                    f1: current_f1,
-                    failures: failures_this_iteration,
-                    phases,
-                };
-                if comet_obs::journal::has_sink() {
-                    comet_obs::journal::emit(&it.to_json_line());
-                }
-                rm.iterations.push(it);
-            }
-
-            // Checkpoint the completed iteration; on resume, first verify
-            // the replay reproduced the stored run exactly.
-            if writer.is_some() {
-                let record = IterationCheckpoint {
-                    iteration,
-                    budget_spent: budget.spent(),
-                    rng_draws: rng.draws(),
-                    records: trace.records.len(),
-                    trace_fp: checkpoint::trace_fingerprint(
-                        &trace,
-                        self.config.kernels,
-                        self.config.f32_probes,
-                    ),
-                };
-                if let Some(stored) = resume_data.as_ref().and_then(|d| d.iterations.get(iteration))
-                {
-                    if *stored != record {
-                        return Err(CometError::Checkpoint(format!(
-                            "resume diverged at iteration {iteration}: \
-                             checkpoint {stored:?}, replay {record:?}"
-                        )));
-                    }
-                }
-                if let Some(w) = writer.as_mut() {
-                    // Checkpoint I/O faults are often transient (full disk
-                    // freed, volume reattached); retry in place. Retries
-                    // consume no randomness, so a recovered write leaves
-                    // the trace bit-identical to an undisturbed run.
-                    let entries = env.export_cache_entries();
-                    let mut attempt = 0usize;
-                    loop {
-                        match w.write_iteration(&record, &entries) {
-                            Ok(()) => break,
-                            Err(e) => {
-                                comet_obs::counter_add("fault.checkpoint_write_errors", 1);
-                                if attempt >= self.config.max_retries {
-                                    return Err(e);
-                                }
-                                attempt += 1;
-                                comet_obs::counter_add("fault.checkpoint_write_retries", 1);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Publish best-so-far progress for status polls and result
-            // streams. Reading `control` never feeds back into the trace.
-            if let Some(control) = &self.control {
-                control.publish(SessionProgress {
-                    iterations: iteration + 1,
-                    initial_f1: trace.initial_f1,
-                    best_f1: current_f1,
-                    budget_spent: budget.spent(),
-                    steps: trace.records.clone(),
-                });
-            }
-
+            let estimates = self.estimate(env, &mut state, &pairs, session_seed, &start.clock);
+            let ranked = self.rank(&state, estimates, &start.clock);
+            state.trace.iteration_runtimes.push(started.elapsed());
+            let progressed = self.clean(env, rng, &mut state, &ranked, &start.clock)?;
+            let draws = rng.draws();
+            self.end_iteration(env, &state, start, draws, writer.as_mut(), metrics.as_mut())?;
             if !progressed {
                 break;
             }
         }
 
-        trace.final_f1 = current_f1;
-        let metrics = run_metrics.map(|mut rm| {
-            rm.initial_f1 = trace.initial_f1;
-            rm.final_f1 = trace.final_f1;
-            rm.budget_spent = budget.spent();
+        state.trace.final_f1 = state.current_f1;
+        let metrics = metrics.map(|mut rm| {
+            rm.initial_f1 = state.trace.initial_f1;
+            rm.final_f1 = state.trace.final_f1;
+            rm.budget_spent = state.budget.spent();
             rm.registry = comet_obs::snapshot();
             rm
         });
-        Ok(SessionOutcome { trace, metrics, stop: stopped })
+        Ok(SessionOutcome { trace: state.trace, metrics, stop })
+    }
+
+    /// Pollute and estimate every dirty candidate. Candidates are
+    /// independent given their derived seeds, so the pipeline fans out
+    /// across worker threads; `par_map_catch` returns results in `pairs`
+    /// order and catches each candidate's panic into an `Err` slot, making
+    /// the ranking input — and hence the whole trace — independent of the
+    /// thread count. Failed candidates are retried, then recorded in the
+    /// trace's failures and skipped.
+    fn estimate(
+        &self,
+        env: &CleaningEnvironment,
+        state: &mut SessionState,
+        pairs: &[(usize, ErrorType)],
+        session_seed: u64,
+        clock: &PhaseClock,
+    ) -> Vec<Estimate> {
+        let (iteration, current_f1) = (state.iteration, state.current_f1);
+        let (polluter, estimator) = (Polluter::from_config(&self.config), &state.estimator);
+        let faults = self.faults.as_deref();
+        let eval_candidate = |(col, err): (usize, ErrorType)| -> Result<Estimate, EnvError> {
+            let fault = faults.and_then(|p| p.arm(iteration, col, err));
+            if fault == Some(FaultKind::EstimatorFailure) {
+                return Err(EnvError::Invalid(format!(
+                    "injected fault: estimator failure at candidate ({col}, {err:?})"
+                )));
+            }
+            if fault == Some(FaultKind::TrainingPanic) {
+                injected_training_panic(iteration, col, err);
+            }
+            let mut cand_rng =
+                StdRng::seed_from_u64(candidate_seed(session_seed, col, err, iteration));
+            // Workers add into shared accumulators, so these two phases
+            // measure aggregate worker time (they can exceed the
+            // iteration's wall clock).
+            let variants =
+                clock.time(&clock.pollute, || polluter.variants(env, col, err, &mut cand_rng))?;
+            let mut est = clock.time(&clock.estimate, || {
+                estimator.estimate(env, col, err, current_f1, &variants)
+            })?;
+            if fault == Some(FaultKind::NanLoss) {
+                est.raw_predicted_f1 = f64::NAN;
+                est.predicted_f1 = f64::NAN;
+            }
+            Ok(est)
+        };
+        let attempts = comet_par::par_map_catch(pairs.to_vec(), eval_candidate);
+        let mut estimates = Vec::with_capacity(pairs.len());
+        for (outcome, &(col, err)) in attempts.into_iter().zip(pairs) {
+            let mut result = classify(outcome);
+            let mut retries = 0u32;
+            // Failed candidates retry sequentially, in input order,
+            // re-deriving the same candidate seed — retries stay
+            // deterministic and thread-count independent.
+            while result.is_err() && (retries as usize) < self.config.max_retries {
+                retries += 1;
+                comet_obs::counter_add("fault.retries", 1);
+                #[allow(clippy::expect_used)]
+                let attempt = comet_par::par_map_catch(vec![(col, err)], eval_candidate)
+                    .pop()
+                    // comet-lint: allow(D4) — par_map_catch's one-in/one-out contract is proptested in comet-par
+                    .expect("one item in, one result out");
+                result = classify(attempt);
+                if result.is_ok() {
+                    comet_obs::counter_add("fault.recovered", 1);
+                }
+            }
+            match result {
+                Ok(est) => estimates.push(est),
+                Err(reason) => {
+                    comet_obs::counter_add("fault.candidate_failures", 1);
+                    state.trace.failures.push(FailureRecord {
+                        iteration,
+                        col,
+                        err,
+                        reason,
+                        retries,
+                    });
+                }
+            }
+        }
+        estimates
+    }
+
+    /// Price each surviving estimate's next step and rank them (Eq. 4).
+    /// Costs pair with `estimates` by index, so they are built from the
+    /// survivors, not from the candidate pairs (failed ones are absent).
+    fn rank(
+        &self,
+        state: &SessionState,
+        estimates: Vec<Estimate>,
+        clock: &PhaseClock,
+    ) -> Vec<Candidate> {
+        let costs: Vec<f64> =
+            estimates.iter().map(|e| state.next_cost(&self.config, (e.col, e.err))).collect();
+        clock.time(&clock.rank, || state.recommender.rank(estimates, &costs))
+    }
+
+    /// Execute recommendations until one sticks: the batch (when
+    /// configured), then the ranked candidates one by one, then the
+    /// fallback. Returns whether the iteration made progress.
+    fn clean<R: Rng>(
+        &self,
+        env: &mut CleaningEnvironment,
+        rng: &mut R,
+        state: &mut SessionState,
+        ranked: &[Candidate],
+        clock: &PhaseClock,
+    ) -> Result<bool, CometError> {
+        if self.config.batch_size > 1 && self.clean_batch(env, rng, state, ranked, clock)? {
+            return Ok(true);
+        }
+        if self.clean_step_by_step(env, rng, state, ranked, clock)? {
+            return Ok(true);
+        }
+        if !self.config.fallback {
+            return Ok(false);
+        }
+        // Timed as one block (its cleaning and evaluation included), so
+        // the inner calls are not double-counted into clean_step/evaluate.
+        clock.time(&clock.fallback, || self.fallback(env, rng, state))
+    }
+
+    /// Batched mode (future-work extension, §6): clean the top-k
+    /// affordable, unbuffered candidates together, evaluate once, and
+    /// accept or revert the whole batch. Returns `false` — falling through
+    /// to the step-by-step path — when fewer than two candidates qualify,
+    /// none cleaned a cell, or the batch was reverted.
+    fn clean_batch<R: Rng>(
+        &self,
+        env: &mut CleaningEnvironment,
+        rng: &mut R,
+        state: &mut SessionState,
+        ranked: &[Candidate],
+        clock: &PhaseClock,
+    ) -> Result<bool, CometError> {
+        let mut selected: Vec<&Candidate> = Vec::new();
+        let mut planned_cost = 0.0;
+        for cand in ranked {
+            if selected.len() == self.config.batch_size {
+                break;
+            }
+            if state.recommender.buffer_contains(cand.estimate.col, cand.estimate.err) {
+                continue; // buffered states are handled one by one
+            }
+            if state.budget.can_afford(planned_cost + cand.cost) {
+                planned_cost += cand.cost;
+                selected.push(cand);
+            }
+        }
+        if selected.len() < 2 {
+            return Ok(false);
+        }
+        let pre_snaps =
+            selected.iter().map(|c| env.snapshot(c.estimate.col)).collect::<Result<Vec<_>, _>>()?;
+        let mut cleaned = Vec::with_capacity(selected.len());
+        for &cand in &selected {
+            let est = &cand.estimate;
+            let (ctr, cte) = clock.time(&clock.clean_step, || {
+                env.clean_step(est.col, est.err, &est.flagged_train, &est.flagged_test, rng)
+            })?;
+            if ctr + cte > 0 {
+                cleaned.push((cand, ctr + cte));
+            }
+        }
+        // Charge, count, and learn from only the members that actually
+        // cleaned cells — parity with the step-by-step path's zero-cell
+        // skip. A member whose pair was already clean did no work and must
+        // not consume budget or produce a record.
+        if cleaned.is_empty() {
+            return Ok(false);
+        }
+        for &(cand, _) in &cleaned {
+            state.charge(cand.cost, (cand.estimate.col, cand.estimate.err));
+        }
+        let f1 = clock.time(&clock.evaluate, || env.evaluate())?;
+        for &(cand, _) in &cleaned {
+            let est = &cand.estimate;
+            state.estimator.record_outcome(est.col, est.err, est.raw_predicted_f1, f1);
+            state.recommender.record_post_clean_f1(est.col, est.err, f1);
+        }
+        let keep = state.improves(f1) || !self.config.revert_on_decrease;
+        if keep {
+            state.current_f1 = f1;
+        } else {
+            // Buffer each cleaned column, then revert all.
+            for &(cand, _) in &cleaned {
+                let cleaned_state = env.snapshot(cand.estimate.col)?;
+                state.recommender.buffer_store(cand.estimate.col, cand.estimate.err, cleaned_state);
+            }
+            for pre in &pre_snaps {
+                env.restore(pre)?;
+            }
+        }
+        let action = if keep { StepAction::Accepted } else { StepAction::Reverted };
+        for &(cand, cells) in &cleaned {
+            let pair = (cand.estimate.col, cand.estimate.err);
+            state.record(pair, action, cand.cost, Some(&cand.estimate), f1, cells);
+        }
+        state.mark_curve();
+        Ok(keep)
+    }
+
+    /// Clean the ranked candidates one by one until a step sticks (§3.3).
+    /// A buffered cleaned state re-applies for free; otherwise an
+    /// affordable step is cleaned, evaluated, and kept — or reverted with
+    /// the paid work kept in the cleaning buffer.
+    fn clean_step_by_step<R: Rng>(
+        &self,
+        env: &mut CleaningEnvironment,
+        rng: &mut R,
+        state: &mut SessionState,
+        ranked: &[Candidate],
+        clock: &PhaseClock,
+    ) -> Result<bool, CometError> {
+        for cand in ranked {
+            let est = &cand.estimate;
+            let pair = (est.col, est.err);
+            // (`buffer_take` is its own existence check — no unwrap.)
+            if let Some(buffered) = state.recommender.buffer_take(est.col, est.err) {
+                let pre = env.snapshot(est.col)?;
+                env.restore(&buffered)?;
+                let f1 = clock.time(&clock.evaluate, || env.evaluate())?;
+                if state.improves(f1) {
+                    state.current_f1 = f1;
+                    state.recommender.record_post_clean_f1(est.col, est.err, f1);
+                    state.record(pair, StepAction::BufferApplied, 0.0, Some(est), f1, 0);
+                    state.mark_curve();
+                    return Ok(true);
+                }
+                env.restore(&pre)?;
+                state.recommender.buffer_store(est.col, est.err, buffered);
+                continue;
+            }
+            if !state.budget.can_afford(cand.cost) {
+                continue;
+            }
+            let pre = env.snapshot(est.col)?;
+            let (ctr, cte) = clock.time(&clock.clean_step, || {
+                env.clean_step(est.col, est.err, &est.flagged_train, &est.flagged_test, rng)
+            })?;
+            if ctr + cte == 0 {
+                continue;
+            }
+            state.charge(cand.cost, pair);
+            let f1 = clock.time(&clock.evaluate, || env.evaluate())?;
+            state.estimator.record_outcome(est.col, est.err, est.raw_predicted_f1, f1);
+            state.recommender.record_post_clean_f1(est.col, est.err, f1);
+            let keep = state.improves(f1) || !self.config.revert_on_decrease;
+            if keep {
+                state.current_f1 = f1;
+            } else {
+                let cleaned_state = env.snapshot(est.col)?;
+                env.restore(&pre)?;
+                state.recommender.buffer_store(est.col, est.err, cleaned_state);
+            }
+            let action = if keep { StepAction::Accepted } else { StepAction::Reverted };
+            state.record(pair, action, cand.cost, Some(est), f1, ctr + cte);
+            state.mark_curve();
+            if keep {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Fallback (§3.3, step E): when no ranked candidate stuck, commit to
+    /// the dirty candidate with the historically best post-cleaning F1 and
+    /// *keep* the result even if F1 temporarily dips — the paper's own
+    /// Figure 7 shows COMET's trajectory fluctuating exactly this way. This
+    /// also guarantees progress: every fallback step reduces dirt.
+    fn fallback<R: Rng>(
+        &self,
+        env: &mut CleaningEnvironment,
+        rng: &mut R,
+        state: &mut SessionState,
+    ) -> Result<bool, CometError> {
+        let dirty_now = env.candidate_pairs(&self.errors);
+        let Some((col, err)) = state.recommender.fallback(&dirty_now) else {
+            return Ok(false);
+        };
+        let (cost, cells) = match state.recommender.buffer_take(col, err) {
+            Some(buffered) => {
+                env.restore(&buffered)?;
+                (0.0, 0)
+            }
+            None => {
+                let cost = state.next_cost(&self.config, (col, err));
+                if !state.budget.can_afford(cost) {
+                    return Ok(false);
+                }
+                let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
+                if ctr + cte == 0 {
+                    return Ok(false);
+                }
+                state.charge(cost, (col, err));
+                (cost, ctr + cte)
+            }
+        };
+        let f1 = env.evaluate()?;
+        state.current_f1 = f1;
+        state.recommender.record_post_clean_f1(col, err, f1);
+        state.record((col, err), StepAction::Fallback, cost, None, f1, cells);
+        state.mark_curve();
+        Ok(true)
+    }
+
+    /// Close an iteration: surface a spill-tier failure, record metrics,
+    /// verify and checkpoint the iteration, and publish progress.
+    fn end_iteration(
+        &self,
+        env: &CleaningEnvironment,
+        state: &SessionState,
+        start: IterationStart,
+        rng_draws: u64,
+        checkpoint: Option<&mut CheckpointWriter>,
+        run_metrics: Option<&mut RunMetrics>,
+    ) -> Result<(), CometError> {
+        let iteration = state.iteration;
+        // A failed segment write or reload mid-iteration degraded the
+        // affected cells to missing (libraries never panic on I/O), which
+        // would silently corrupt every later decision. Surface the sticky
+        // error and fail the session loudly instead.
+        if comet_frame::spill_is_configured() {
+            if let Some(cause) = comet_frame::spill_take_error() {
+                return Err(CometError::Invalid(format!(
+                    "segment spill tier failed during iteration {iteration}: {cause}"
+                )));
+            }
+            comet_frame::spill_publish_resident_gauge();
+        }
+        if let Some(rm) = run_metrics {
+            let phases = start.clock.phases();
+            comet_obs::counter_add("session.iterations", 1);
+            for ((_, nanos), name) in phases.named().into_iter().zip(PHASE_HISTOGRAMS) {
+                comet_obs::observe_duration(name, Duration::from_nanos(nanos));
+            }
+            let cache = env.cache_stats();
+            let it = IterationMetrics {
+                iteration,
+                candidates: start.candidates,
+                records: state.trace.records.len() - start.records,
+                cache_hits: cache.hits - start.cache.hits,
+                cache_misses: cache.misses - start.cache.misses,
+                budget_spent: state.budget.spent(),
+                f1: state.current_f1,
+                failures: state.trace.failures.len() - start.failures,
+                phases,
+            };
+            if comet_obs::journal::has_sink() {
+                comet_obs::journal::emit(&it.to_json_line());
+            }
+            rm.iterations.push(it);
+        }
+        if let Some(writer) = checkpoint {
+            let record = IterationCheckpoint {
+                iteration,
+                budget_spent: state.budget.spent(),
+                rng_draws,
+                records: state.trace.records.len(),
+                trace_fp: trace_fingerprint(&state.trace),
+            };
+            writer.commit(&record, &env.export_cache_entries(), self.config.max_retries)?;
+        }
+        self.publish(state, iteration + 1);
+        Ok(())
+    }
+
+    /// Publish best-so-far progress for status polls and result streams.
+    /// Reading `control` never feeds back into the trace.
+    fn publish(&self, state: &SessionState, iterations: usize) {
+        if let Some(control) = &self.control {
+            control.publish(SessionProgress {
+                iterations,
+                initial_f1: state.trace.initial_f1,
+                best_f1: state.current_f1,
+                budget_spent: state.budget.spent(),
+                steps: state.trace.records.clone(),
+            });
+        }
     }
 
     /// True while an exhausted budget still leaves a zero-cost productive
     /// action on the table: a buffered cleaned state waiting to re-apply,
     /// or a dirty pair whose next step is free under the cost policy
     /// (`OneShot { rest: 0.0 }` follow-ups in `CostPolicy::paper_multi`).
-    fn free_action_available(
-        &self,
-        env: &CleaningEnvironment,
-        recommender: &Recommender,
-        steps_done: &BTreeMap<(usize, ErrorType), usize>,
-    ) -> bool {
-        if recommender.buffer_len() > 0 {
-            return true;
-        }
-        env.candidate_pairs(&self.errors).into_iter().any(|(col, err)| {
-            let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
-            self.config.costs.next_cost(err, done) == 0.0
-        })
+    fn free_action_available(&self, env: &CleaningEnvironment, state: &SessionState) -> bool {
+        state.recommender.buffer_len() > 0
+            || env
+                .candidate_pairs(&self.errors)
+                .into_iter()
+                .any(|pair| state.next_cost(&self.config, pair) == 0.0)
     }
 }
 
@@ -1687,7 +1571,7 @@ mod tests {
         let a = crate::checkpoint::load(&full_path).unwrap();
         let b = crate::checkpoint::load(&cut_path).unwrap();
         assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.session_seed, b.session_seed);
+        assert_eq!(a.identity, b.identity);
         std::fs::remove_file(full_path).ok();
         std::fs::remove_file(cut_path).ok();
     }
@@ -1713,7 +1597,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let err = session.run(&mut env, &mut rng).unwrap_err();
         assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
-        assert!(err.to_string().contains("session seed"), "{err}");
+        assert!(err.to_string().contains("session_seed"), "{err}");
 
         // Wrong config → refuse to resume.
         let mut env = env0.clone();
@@ -1751,22 +1635,17 @@ mod tests {
         // under one reduction order must refuse silent resume under
         // another, loudly, before any replay work happens.
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"kernel_tier\":\"scalar\""), "header must record the tier");
-        let tampered = text
-            .replace("\"kernel_tier\":\"scalar\"", "\"kernel_tier\":\"simd\"")
-            .replace("\"lane_count\":4", "\"lane_count\":8");
+        assert!(text.contains("\"kernels\":\"Scalar\""), "header must record the tier");
+        let tampered = text.replace("\"kernels\":\"Scalar\"", "\"kernels\":\"Simd\"");
         std::fs::write(&path, &tampered).unwrap();
         let err = resume(&path).unwrap_err();
         assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
-        assert!(err.to_string().contains("kernel tier"), "{err}");
-        assert!(
-            err.to_string().contains("8 lanes") && err.to_string().contains("4 lanes"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("kernels"), "{err}");
+        assert!(err.to_string().contains("Simd") && err.to_string().contains("Scalar"), "{err}");
 
         // Same for probe precision: f32-probe scores are cached under
         // salted keys, but the header flag is what guards the replay.
-        let tampered = text.replace("\"f32_probes\":0", "\"f32_probes\":1");
+        let tampered = text.replace("\"f32_probes\":\"false\"", "\"f32_probes\":\"true\"");
         assert_ne!(tampered, text, "header must record the probe flag");
         std::fs::write(&path, &tampered).unwrap();
         let err = resume(&path).unwrap_err();
@@ -1776,6 +1655,106 @@ mod tests {
         // The untampered header still resumes cleanly.
         std::fs::write(&path, &text).unwrap();
         resume(&path).unwrap();
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The session inputs a checkpoint identity is built from.
+    type Inputs = (u64, Vec<ErrorType>, CometConfig);
+    type Mutator = fn(&mut Inputs);
+
+    fn other_tier(tier: comet_ml::kernels::KernelTier) -> comet_ml::kernels::KernelTier {
+        use comet_ml::kernels::KernelTier;
+        if tier == KernelTier::Scalar {
+            KernelTier::Simd
+        } else {
+            KernelTier::Scalar
+        }
+    }
+
+    /// One mutator per identity key, each changing exactly that input and
+    /// keeping the config valid.
+    const MUTATORS: [(&str, Mutator); 22] = [
+        ("session_seed", |i| i.0 ^= 1),
+        ("errors", |i| i.1.push(ErrorType::GaussianNoise)),
+        ("step_frac", |i| i.2.step_frac = 0.02),
+        ("pollution_steps", |i| i.2.pollution_steps = 3),
+        ("n_combinations", |i| i.2.n_combinations = 2),
+        ("metric", |i| i.2.metric = Metric::Accuracy),
+        ("budget", |i| i.2.budget = 5.0),
+        ("costs", |i| i.2.costs = crate::cost::CostPolicy::paper_multi()),
+        ("interval", |i| i.2.interval = 0.9),
+        ("blr_degree", |i| i.2.blr_degree = 2),
+        ("search", |i| i.2.search.n_samples = 2),
+        ("eval_seed", |i| i.2.eval_seed += 1),
+        ("use_uncertainty", |i| i.2.use_uncertainty = false),
+        ("bias_correction", |i| i.2.bias_correction = false),
+        ("revert_on_decrease", |i| i.2.revert_on_decrease = false),
+        ("fallback", |i| i.2.fallback = false),
+        ("batch_size", |i| i.2.batch_size = 2),
+        ("max_retries", |i| i.2.max_retries = 2),
+        ("kernels", |i| i.2.kernels = other_tier(i.2.kernels)),
+        ("f32_probes", |i| i.2.f32_probes = true),
+        ("detect", |i| i.2.detect = Some(comet_detect::DetectorConfig::default())),
+        ("segment_rows", |i| i.2.segment_rows = 1024),
+    ];
+
+    /// The identity keys a refusal names (they are the backticked words).
+    fn named_keys(err: &CometError) -> Vec<String> {
+        err.to_string().split('`').skip(1).step_by(2).map(str::to_string).collect()
+    }
+
+    #[test]
+    fn identity_drill_refuses_each_mutation_by_name() {
+        let env0 = build_env(32, 200, vec![(0, 0.3)], Algorithm::Knn);
+        let path = ckpt_path("identity_drill.jsonl");
+        // The session seed is the run rng's first draw.
+        let session_seed = StdRng::seed_from_u64(5).next_u64();
+        let base: Inputs = (session_seed, vec![ErrorType::MissingValues], quick_config(4.0));
+        let run = |resume: bool| {
+            let mut env = env0.clone();
+            env.clear_eval_cache();
+            let session = CleaningSession::new(base.2, base.1.clone())
+                .with_checkpoint(CheckpointSpec { path: path.clone(), resume });
+            session.run(&mut env, &mut StdRng::seed_from_u64(5))
+        };
+        let full = run(false).unwrap();
+        let identity = |i: &Inputs| SessionIdentity::new(i.0, &i.1, &i.2);
+        assert_eq!(crate::checkpoint::load(&path).unwrap().identity, identity(&base));
+
+        // The table covers every key the header stores, once each.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let header = comet_obs::json::parse(text.lines().next().unwrap()).unwrap();
+        let stored: Vec<&str> = header
+            .get("identity")
+            .and_then(comet_obs::json::JsonValue::as_obj)
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let mut table: Vec<&str> = MUTATORS.iter().map(|(k, _)| *k).collect();
+        table.sort_unstable();
+        assert_eq!(stored, table);
+
+        let resume = |i: &Inputs| {
+            let spec = CheckpointSpec { path: path.clone(), resume: true };
+            CheckpointWriter::open(&spec, &identity(i), &env0, None).map(|_| ())
+        };
+        for (key, mutate) in MUTATORS {
+            let mut inputs = base.clone();
+            mutate(&mut inputs);
+            inputs.2.validate().unwrap();
+            let err = resume(&inputs).unwrap_err();
+            assert!(matches!(err, CometError::Checkpoint(_)), "{key}: {err}");
+            assert_eq!(named_keys(&err), [key], "{err}");
+        }
+        let mut both = base.clone();
+        both.2.kernels = other_tier(both.2.kernels);
+        both.2.segment_rows = 1024;
+        assert_eq!(named_keys(&resume(&both).unwrap_err()), ["kernels", "segment_rows"]);
+
+        // The unmutated checkpoint resumes to the same trace.
+        let resumed = run(true).unwrap();
+        assert!(full.trace.content_eq(&resumed.trace));
         std::fs::remove_file(path).ok();
     }
 
@@ -1896,12 +1875,12 @@ mod tests {
             ..quick_config(4.0)
         };
         let err = resume(loosened).unwrap_err();
-        assert!(matches!(err, CometError::Invalid(_)), "{err}");
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("detect"), "{err}");
 
         // So is switching back to oracle mode entirely.
         let err = resume(quick_config(4.0)).unwrap_err();
-        assert!(matches!(err, CometError::Invalid(_)), "{err}");
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
 
         // The unchanged detector configuration still resumes.
         resume(detect_config(4.0)).unwrap();

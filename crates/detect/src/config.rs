@@ -1,9 +1,9 @@
 //! Detector ensemble configuration.
 //!
 //! [`DetectorConfig`] is `Copy` and `Debug`-stable on purpose: it embeds in
-//! `CometConfig`, rides the session's config fingerprint, and is separately
-//! fingerprinted in checkpoint headers (a resume under a different detector
-//! configuration is refused — the flag set is part of the session identity).
+//! `CometConfig`, whose `detect` field is one entry of a checkpoint's
+//! session identity, encoded by its `Debug` (a resume under a different
+//! detector configuration is refused).
 
 use comet_jenga::ErrorType;
 use std::fmt;
@@ -155,8 +155,8 @@ impl DetectorSet {
 }
 
 impl fmt::Debug for DetectorSet {
-    /// Stable, name-based rendering — this string reaches the session's
-    /// config fingerprint via `CometConfig`'s derived `Debug`.
+    /// Stable, name-based rendering — this string is part of the session's
+    /// checkpoint identity via `CometConfig::detect`'s derived `Debug`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let names: Vec<&str> = self.iter().map(DetectorKind::name).collect();
         write!(f, "DetectorSet[{}]", names.join(","))
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn set_debug_is_name_based_and_stable() {
-        // This rendering feeds the session config fingerprint; it must name
+        // This rendering feeds the session identity; it must name
         // the detectors, not expose raw bits that could silently re-map.
         let s = DetectorSet::none().with(DetectorKind::Iqr).with(DetectorKind::MissingSentinel);
         assert_eq!(format!("{s:?}"), "DetectorSet[missing-sentinel,iqr]");

@@ -315,11 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn d7_to_d9_are_valid_allowlist_rules() {
-        for rule in ["D7", "D8", "D9"] {
+    fn d8_and_d9_are_valid_allowlist_rules_and_retired_d7_is_not() {
+        for rule in ["D8", "D9"] {
             let toml = format!("[[allow]]\nrule = \"{rule}\"\nfile = \"f.rs\"\ncount = 1\n");
             assert!(parse_allowlist(&toml).is_ok(), "{rule}");
         }
+        assert!(parse_allowlist("[[allow]]\nrule = \"D7\"\nfile = \"f.rs\"\ncount = 1\n").is_err());
     }
 
     #[test]

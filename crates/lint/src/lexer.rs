@@ -12,9 +12,7 @@
 //! is fed: unterminated literals and comments simply run to end of input.
 
 /// One lexed token. Literals carry their raw source text (delimiters and
-/// prefixes included): the token rules only need "a string was here", but
-/// the D7 fingerprint-coverage analysis reads format-string captures
-/// (`"{config:?}"`) and header key literals out of them.
+/// prefixes included); the token rules only need "a string was here".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
     /// Identifier or keyword (ASCII rules; good enough for this codebase).

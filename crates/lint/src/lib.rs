@@ -7,9 +7,8 @@
 //! with the hand-rolled comment/string-aware [`lexer`] → [`parse`] items
 //! and cross-crate references → compute the trace-taint crate set from
 //! the use graph ([`graph`], D8) → match the [`rules`] catalogue over the
-//! token stream under that scope → run the workspace-level fingerprint
-//! coverage analysis (D7) → drop findings suppressed by pragmas or inside
-//! test regions, failing any pragma that suppressed nothing → reconcile
+//! token stream under that scope → drop findings suppressed by pragmas or
+//! inside test regions, failing any pragma that suppressed nothing → reconcile
 //! what remains against the checked-in `lint.toml` burn-down allowlist
 //! ([`config`]). Anything left is a violation and the binary exits
 //! nonzero.
@@ -25,7 +24,7 @@ pub mod parse;
 pub mod rules;
 
 use config::{evaluate, Allowlist, Evaluation};
-use rules::{scan_with_usage, FileContext, Finding, PragmaKind, ScannedFile, Scope};
+use rules::{scan_with_usage, FileContext, Finding, ScannedFile, Scope};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -112,9 +111,8 @@ pub fn file_context(rel: &Path) -> FileContext {
 }
 
 /// Lint an already-scanned file set against `allow`. This is the whole
-/// pipeline minus I/O: taint computation, scoped per-file rules, the D7
-/// coverage analysis, pragma-staleness enforcement, and allowlist
-/// reconciliation.
+/// pipeline minus I/O: taint computation, scoped per-file rules,
+/// pragma-staleness enforcement, and allowlist reconciliation.
 pub fn lint_files(files: &[ScannedFile], allow: &Allowlist) -> Report {
     let taint = graph::compute_taint(files, &allow.exempt);
     let scope = Scope { trace_affecting: taint.trace_affecting.clone() };
@@ -125,40 +123,21 @@ pub fn lint_files(files: &[ScannedFile], allow: &Allowlist) -> Report {
         findings.extend(scan_with_usage(file, &scope, &mut used));
         used_per_file.push(used);
     }
-    let coverage = graph::fingerprint_coverage(files);
-    findings.extend(coverage.findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
     });
     let mut evaluation = evaluate(&findings, allow);
     evaluation.errors.extend(taint.errors.iter().cloned());
     // Every pragma must earn its keep: an `allow` that suppressed nothing
-    // and a `nofp` that excused no uncovered field are dead weight that
-    // would silently mask a future regression at their line.
+    // is dead weight that would silently mask a future regression at its
+    // line.
     for (file, used) in files.iter().zip(&used_per_file) {
-        for (pragma, &was_used) in file.pragmas.iter().zip(used) {
-            match &pragma.kind {
-                PragmaKind::Allow { .. } => {
-                    if !was_used {
-                        evaluation.errors.push(format!(
-                            "{}:{}: stale pragma — this `allow` suppresses no findings; \
-                             remove it (or the rule regressed and the pragma is masking \
-                             nothing)",
-                            file.ctx.path, pragma.first_line
-                        ));
-                    }
-                }
-                PragmaKind::NoFp => {
-                    let key = (file.ctx.path.clone(), pragma.first_line);
-                    if !coverage.credited_nofp.contains(&key) {
-                        evaluation.errors.push(format!(
-                            "{}:{}: stale pragma — this `nofp` excuses no uncovered \
-                             fingerprint field; remove it",
-                            file.ctx.path, pragma.first_line
-                        ));
-                    }
-                }
-            }
+        for (pragma, _) in file.pragmas.iter().zip(used).filter(|(_, &was_used)| !was_used) {
+            evaluation.errors.push(format!(
+                "{}:{}: stale pragma — this `allow` suppresses no findings; remove it \
+                 (or the rule regressed and the pragma is masking nothing)",
+                file.ctx.path, pragma.first_line
+            ));
         }
     }
     Report { findings, evaluation, files: files.len(), taint }
@@ -267,20 +246,16 @@ mod tests {
     }
 
     /// A minimal workspace with a trace-writing root so the D8 self-check
-    /// passes; D7's targets are absent, so its self-check findings are
-    /// present unless a test allowlists them.
+    /// passes.
     fn base_files() -> Vec<ScannedFile> {
         vec![scanned("crates/core/src/trace.rs", "pub struct CleaningTrace { pub n: usize }")]
     }
 
     #[test]
-    fn lint_files_reports_taint_and_d7_self_checks() {
+    fn lint_files_reports_taint() {
         let report = lint_files(&base_files(), &Allowlist::default());
         assert_eq!(report.taint.roots, ["core".to_string()].into());
-        // The D7 targets (config structs, checkpoint builder) are missing
-        // from this tiny workspace: self-check findings, not silence.
-        assert!(report.findings.iter().any(|f| f.rule == rules::Rule::D7));
-        assert!(!report.is_clean());
+        assert!(report.is_clean(), "{:?}", report.evaluation.errors);
     }
 
     #[test]
@@ -318,27 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_nofp_pragma_is_an_error() {
-        let mut files = base_files();
-        // No fingerprint analysis credits this nofp (the D7 targets are
-        // missing entirely), so it must fail as stale.
-        files.push(scanned(
-            "crates/core/src/y.rs",
-            "pub struct Other {\n    // comet-lint: nofp — not a fingerprinted struct\n    pub a: u8,\n}",
-        ));
-        let report = lint_files(&files, &Allowlist::default());
-        assert!(
-            report.evaluation.errors.iter().any(|e| e.contains("stale pragma")
-                && e.contains("crates/core/src/y.rs:2")
-                && e.contains("nofp")),
-            "{:?}",
-            report.evaluation.errors
-        );
-    }
-
-    #[test]
     fn render_json_is_well_formed_enough_to_round_trip_quotes() {
-        let report = lint_files(&base_files(), &Allowlist::default());
+        // An unallowlisted D4 violation makes the report unclean.
+        let mut files = base_files();
+        files.push(scanned("crates/core/src/x.rs", "fn f() { x.unwrap(); }"));
+        let report = lint_files(&files, &Allowlist::default());
         let json = render_json(&report);
         assert!(json.contains("\"findings\": ["));
         assert!(json.contains("\"taint\": {"));

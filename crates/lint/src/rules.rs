@@ -6,18 +6,21 @@
 //! ranges (`#[cfg(test)]` modules, `#[test]` functions) where determinism
 //! and error-handling rules do not apply.
 //!
-//! D1–D6 are token-local. D7 (fingerprint coverage) and D8 (trace-taint
-//! reachability) are workspace-level dataflow analyses in [`crate::graph`];
-//! the `Rule` variants exist here so findings, pragmas, and the allowlist
-//! treat all nine rules uniformly. D9 is per-file but flow-sensitive: its
-//! third check walks parsed `fn` bodies from [`crate::parse`].
+//! D1–D6 are token-local. D8 (trace-taint reachability) is a
+//! workspace-level dataflow analysis in [`crate::graph`]; its `Rule`
+//! variant exists here so findings, pragmas, and the allowlist treat every
+//! rule uniformly. D9 is per-file but flow-sensitive: its third check
+//! walks parsed `fn` bodies from [`crate::parse`]. D7 (fingerprint
+//! coverage) is retired: the checkpoint's session identity covers every
+//! config field by construction (DESIGN.md §11), and the number is not
+//! reused.
 
 use crate::lexer::{lex, Comment, Lexed, Tok, Token};
 use crate::parse::{ident_at, is_float_at, is_punct, matching, parse, Parsed};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// The nine COMET invariant rules.
+/// The COMET invariant rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// No `HashMap`/`HashSet` in trace-affecting crates: iteration order
@@ -43,13 +46,6 @@ pub enum Rule {
     /// fixed-order `kernels` primitives. Only the lane-ordered tier
     /// modules (`kernels/{scalar,lanes8,x86}.rs`) are exempt.
     D6,
-    /// Fingerprint coverage: every `CometConfig`/`DetectorConfig` field
-    /// must flow into its checkpoint fingerprint (or carry a `nofp`
-    /// pragma), every checkpoint header builder parameter must flow into
-    /// a written header field, and the header keys the builder writes
-    /// must round-trip through the loader. A newly added trace-affecting
-    /// knob fails CI by default instead of silently breaking resume.
-    D7,
     /// Trace-taint reachability: the set of trace-affecting crates is
     /// *computed* from the use/call graph (crates reachable from the
     /// trace-writing roots), not hard-coded. D1–D3 gate on the computed
@@ -64,8 +60,8 @@ pub enum Rule {
     D9,
 }
 
-pub const ALL_RULES: [Rule; 9] =
-    [Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::D5, Rule::D6, Rule::D7, Rule::D8, Rule::D9];
+pub const ALL_RULES: [Rule; 8] =
+    [Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::D5, Rule::D6, Rule::D8, Rule::D9];
 
 impl Rule {
     pub fn as_str(self) -> &'static str {
@@ -76,7 +72,6 @@ impl Rule {
             Rule::D4 => "D4",
             Rule::D5 => "D5",
             Rule::D6 => "D6",
-            Rule::D7 => "D7",
             Rule::D8 => "D8",
             Rule::D9 => "D9",
         }
@@ -90,7 +85,6 @@ impl Rule {
             "D4" | "d4" => Some(Rule::D4),
             "D5" | "d5" => Some(Rule::D5),
             "D6" | "d6" => Some(Rule::D6),
-            "D7" | "d7" => Some(Rule::D7),
             "D8" | "d8" => Some(Rule::D8),
             "D9" | "d9" => Some(Rule::D9),
             _ => None,
@@ -207,23 +201,14 @@ impl FileContext {
     }
 }
 
-/// What a pragma comment does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PragmaKind {
-    /// Suppresses the named rules (or all of them) on the comment's own
-    /// lines and the first line after it.
-    Allow { rules: Vec<Rule>, all: bool },
-    /// Declares a config field intentionally absent from its fingerprint
-    /// (consumed by the D7 coverage analysis).
-    NoFp,
-}
-
-/// One harvested pragma comment with its line range. Every pragma must
-/// earn its keep: one that suppresses nothing (`Allow`) or covers a field
-/// the fingerprint already includes (`NoFp`) fails the gate as stale.
+/// One harvested `allow` pragma comment with its line range: it
+/// suppresses the named rules (or all of them) on the comment's own lines
+/// and the first line after it. Every pragma must earn its keep: one that
+/// suppresses nothing fails the gate as stale.
 #[derive(Debug, Clone)]
 pub struct Pragma {
-    pub kind: PragmaKind,
+    pub rules: Vec<Rule>,
+    pub all: bool,
     pub first_line: u32,
     pub last_line: u32,
 }
@@ -231,12 +216,7 @@ pub struct Pragma {
 impl Pragma {
     /// Does this pragma suppress `rule` at `line`?
     pub fn suppresses(&self, rule: Rule, line: u32) -> bool {
-        match &self.kind {
-            PragmaKind::Allow { rules, all } => {
-                (*all || rules.contains(&rule)) && self.covers_line(line)
-            }
-            PragmaKind::NoFp => false,
-        }
+        (self.all || self.rules.contains(&rule)) && self.covers_line(line)
     }
 
     /// The lines a pragma applies to: its own plus the first line after.
@@ -250,10 +230,6 @@ pub fn collect_pragmas(comments: &[Comment]) -> Vec<Pragma> {
     for c in comments {
         let Some(at) = c.text.find("comet-lint:") else { continue };
         let rest = &c.text[at + "comet-lint:".len()..];
-        if rest.trim_start().starts_with("nofp") {
-            out.push(Pragma { kind: PragmaKind::NoFp, first_line: c.line, last_line: c.end_line });
-            continue;
-        }
         let Some(open) = rest.find("allow(") else { continue };
         let args = &rest[open + "allow(".len()..];
         let Some(close) = args.find(')') else { continue };
@@ -268,11 +244,7 @@ pub fn collect_pragmas(comments: &[Comment]) -> Vec<Pragma> {
             }
         }
         if all || !rules.is_empty() {
-            out.push(Pragma {
-                kind: PragmaKind::Allow { rules, all },
-                first_line: c.line,
-                last_line: c.end_line,
-            });
+            out.push(Pragma { rules, all, first_line: c.line, last_line: c.end_line });
         }
     }
     out
@@ -927,16 +899,6 @@ mod tests {
         let found = scan_with_usage(&file, &test_scope(), &mut used);
         assert!(found.is_empty());
         assert_eq!(used, vec![false]);
-    }
-
-    #[test]
-    fn nofp_pragmas_are_collected_not_suppressing() {
-        let src = "struct C {\n    // comet-lint: nofp — cosmetic label, not trace-affecting\n    pub label: String,\n}";
-        let file = ScannedFile::new(ctx("crates/core/src/x.rs"), src.as_bytes());
-        assert_eq!(file.pragmas.len(), 1);
-        assert_eq!(file.pragmas[0].kind, PragmaKind::NoFp);
-        assert!(!file.pragmas[0].suppresses(Rule::D7, 3));
-        assert!(file.pragmas[0].covers_line(3));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Workspace-level dataflow tests: the D7 mutation drill (delete any single
-//! fingerprint ingredient from the *real* checkpoint code → the lint must
-//! fail), D8 taint properties of the real workspace against the crate list
-//! the rules used to hard-code, fixture-driven root detection, and the
-//! machine-readable JSON rendering.
+//! Workspace-level dataflow tests: D8 taint properties of the real
+//! workspace against the crate list the rules used to hard-code,
+//! fixture-driven root detection, and the machine-readable JSON rendering
+//! of a clean and a deliberately broken workspace.
 
 use comet_lint::graph::compute_taint;
-use comet_lint::rules::{Rule, ScannedFile};
+use comet_lint::rules::ScannedFile;
 use comet_lint::{file_context, lint_files, load_allowlist, render_json, workspace_sources};
 use std::path::Path;
 
@@ -14,21 +13,6 @@ use std::path::Path;
 /// superset: taint can only be discovered, never silently lost.
 const OLD_HARDCODED_LIST: [&str; 7] =
     ["core", "ml", "bayes", "jenga", "baselines", "frame", "detect"];
-
-/// Every session-identity ingredient the checkpoint header writes. The
-/// mutation drill deletes each one's builder line in turn.
-const HEADER_KEYS: [&str; 8] = [
-    "session_seed",
-    "config_fp",
-    "budget_total",
-    "kernel_tier",
-    "lane_count",
-    "f32_probes",
-    "detect_fp",
-    "segment_rows",
-];
-
-const CHECKPOINT: &str = "crates/core/src/checkpoint.rs";
 
 fn repo_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
@@ -52,66 +36,6 @@ fn scanned_workspace(target: &str, mutate: impl Fn(&str) -> String) -> Vec<Scann
 
 fn real_allowlist() -> comet_lint::config::Allowlist {
     load_allowlist(&repo_root().join("lint.toml")).unwrap()
-}
-
-/// Delete the first line containing both `field_` and the quoted key —
-/// exactly the builder's write of that header field (the loader reads the
-/// key through `get*`, never `field_*`).
-fn without_builder_line(src: &str, key: &str) -> String {
-    let needle = format!("\"{key}\"");
-    let mut removed = false;
-    let kept: Vec<&str> = src
-        .lines()
-        .filter(|l| {
-            if !removed && l.contains("field_") && l.contains(&needle) {
-                removed = true;
-                return false;
-            }
-            true
-        })
-        .collect();
-    assert!(removed, "no builder line found for header key `{key}` — did the builder move?");
-    kept.join("\n")
-}
-
-// --- the mutation drill: the lint is only trustworthy if it actually
-// --- fails when a fingerprint ingredient disappears ---
-
-#[test]
-fn deleting_any_single_header_ingredient_fails_the_lint() {
-    let allow = real_allowlist();
-    for key in HEADER_KEYS {
-        let files = scanned_workspace(CHECKPOINT, |src| without_builder_line(src, key));
-        let report = lint_files(&files, &allow);
-        assert!(
-            !report.is_clean(),
-            "deleting the `{key}` builder line must fail the lint, but it stayed clean"
-        );
-        assert!(
-            report.findings.iter().any(|f| f.rule == Rule::D7 && f.message.contains(key)),
-            "no D7 finding names `{key}`: {:#?}",
-            report.findings
-        );
-    }
-}
-
-#[test]
-fn dropping_the_config_debug_capture_fails_the_lint() {
-    let allow = real_allowlist();
-    let files = scanned_workspace(CHECKPOINT, |src| {
-        let mutated = src.replace("{config:?}|", "");
-        assert_ne!(mutated, src, "config_fingerprint no longer captures `{{config:?}}`");
-        mutated
-    });
-    let report = lint_files(&files, &allow);
-    assert!(!report.is_clean(), "dropping the config capture must fail the lint");
-    let uncovered = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::D7 && f.file == "crates/core/src/config.rs")
-        .count();
-    // Every CometConfig field loses coverage at once.
-    assert!(uncovered >= 5, "expected many uncovered fields, got {uncovered}");
 }
 
 #[test]
@@ -195,10 +119,14 @@ fn json_rendering_of_the_real_workspace_is_clean_and_complete() {
 
 #[test]
 fn json_rendering_of_a_mutated_workspace_reports_the_break() {
-    let files = scanned_workspace(CHECKPOINT, |src| without_builder_line(src, "session_seed"));
+    // An unallowlisted `.unwrap()` (D4) in library code breaks the gate.
+    let budget = "crates/core/src/budget.rs";
+    let files = scanned_workspace(budget, |src| {
+        format!("{src}\npub fn broken(x: Option<u8>) -> u8 {{\n    x.unwrap()\n}}\n")
+    });
     let report = lint_files(&files, &real_allowlist());
     let json = render_json(&report);
     assert!(json.contains("\"clean\": false"), "{json}");
-    assert!(json.contains("session_seed"), "{json}");
+    assert!(json.contains(budget) && json.contains("\"rule\": \"D4\""), "{json}");
     assert!(json.contains("\"allowed\": false"), "{json}");
 }

@@ -55,8 +55,8 @@ proptest::proptest! {
 
     #[test]
     fn full_pipeline_never_panics_on_arbitrary_bytes(bytes in proptest::prop::collection::vec(0u8..=255u8, 0..512)) {
-        // Mount the soup where the D7 fingerprint-coverage pass looks for the
-        // checkpoint builder so the graph analyses run on it too.
+        // Mount the soup in a trace-writing root crate so the D8 graph
+        // analysis runs on it too.
         let ctx = FileContext {
             path: "crates/core/src/checkpoint.rs".to_string(),
             crate_name: "core".to_string(),

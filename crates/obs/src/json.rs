@@ -1,6 +1,7 @@
 //! Minimal JSON support for the run journal: an append-only object
-//! writer and a small recursive-descent parser (used by tests and the CI
-//! journal validator — the build environment has no serde).
+//! writer and a small recursive-descent parser with a fixed nesting bound
+//! (used by checkpoints, the serve daemon's request frames, tests and the
+//! CI journal validator — the build environment has no serde).
 
 use std::fmt::Write as _;
 
@@ -189,11 +190,17 @@ impl JsonValue {
     }
 }
 
-/// Parse one JSON document. Errors carry the byte offset of the problem.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a small hostile document (a 100 KB
+/// run of `[`) would overflow the thread's stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document. Errors carry the byte offset of the problem;
+/// nesting deeper than 128 levels is an error too.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -216,11 +223,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parse the value at `pos`, nested `depth` containers deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -303,7 +314,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -312,7 +323,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -325,7 +336,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -338,7 +349,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -411,6 +422,29 @@ mod tests {
         for bad in ["{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "{} extra", "{'a':1}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        // At the bound both container kinds still parse...
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        // ...one level deeper is an error, not a deeper recursion.
+        assert!(parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // 100,000 levels on a thread with the default 2 MiB stack: an
+        // unbounded parser aborts the whole process here.
+        let hostile = std::thread::spawn(|| {
+            let arrays = parse(&"[".repeat(100_000)).unwrap_err();
+            let objects = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+            (arrays, objects)
+        });
+        let (arrays, objects) = hostile.join().expect("parse must not overflow the stack");
+        assert!(arrays.contains("nesting"), "{arrays}");
+        assert!(objects.contains("nesting"), "{objects}");
     }
 
     #[test]

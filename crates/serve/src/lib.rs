@@ -12,7 +12,7 @@
 //! rejections with deterministic backoff hints instead of unbounded
 //! queues. Accepted sessions are persisted (manifest first, response
 //! second — [`store`]) so a `kill -9` loses no accepted work: on restart
-//! the daemon scans its store, validates checkpoint fingerprints, and
+//! the daemon scans its store, validates checkpoint identities, and
 //! resumes interrupted sessions to bit-identical traces via the
 //! comet-core checkpoint layer. Deadlines and cancels reach the running
 //! session as cooperative flags (`SessionControl`) checked at iteration

@@ -198,6 +198,25 @@ fn kept_open_connection_answers_without_ack_stalls() {
 }
 
 #[test]
+fn deeply_nested_frame_is_a_typed_invalid_not_an_abort() {
+    // 100,000 `[` is a 100 KB frame, far under the frame cap; an unbounded
+    // recursive parser overflows the connection thread's stack on it and
+    // aborts the daemon with every tenant's sessions.
+    let root = temp_root("nested");
+    let daemon = start_daemon(&root, 1, 4, Arc::new(ServeFaultPlan::default()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    match client.request_ok(&"[".repeat(100_000)) {
+        Err(comet_serve::client::ClientError::Server(e)) => assert_eq!(e.kind, kind::INVALID),
+        other => panic!("expected invalid, got {other:?}"),
+    }
+    let pong = client.request_ok("{\"cmd\":\"ping\"}").unwrap();
+    assert!(matches!(pong.get("pong"), Some(JsonValue::Bool(true))));
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn admission_rejects_under_pressure_and_recovers_after_cancel() {
     let root = temp_root("admission");
     // One worker, one queue slot, and a long-running-session simulator

@@ -274,8 +274,20 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         Some(name) => comet::ml::kernels::KernelTier::parse(name)
             .ok_or_else(|| format!("unknown kernel tier {name:?} (use scalar|simd)"))?,
     };
-    let f32_probes = flags.contains_key("f32-probes");
-    let detect = parse_detect(&flags)?;
+    let config = CometConfig {
+        budget,
+        step_frac: step,
+        batch_size: batch,
+        max_retries,
+        kernels,
+        f32_probes: flags.contains_key("f32-probes"),
+        detect: parse_detect(&flags)?,
+        segment_rows: segment_rows_of(&flags)?,
+        ..CometConfig::default()
+    };
+    // Checked before any I/O: `CleaningSession::new` panics on an invalid
+    // config, and a bad flag must fail as a message, not a crash.
+    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     let resume = flags.contains_key("resume");
     let checkpoint =
         flags.get("checkpoint").map(|path| CheckpointSpec { path: path.into(), resume });
@@ -284,7 +296,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     }
     let mut rng = StdRng::seed_from_u64(seed_of(&flags)?);
 
-    let segment_rows = segment_rows_of(&flags)?;
     // `--memory-budget` arms the spill tier before the CSVs stream in, so
     // even the initial load stays under the cap. The spill directory lives
     // next to the checkpoint when one is given (it survives a kill and the
@@ -315,10 +326,10 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         dirty,
         Some(clean),
         algorithm,
-        step,
+        config.step_frac,
         RandomSearch::default(),
         7,
-        segment_rows,
+        config.segment_rows,
         &mut rng,
     )
     .map_err(|e| e.to_string())?;
@@ -338,8 +349,11 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     // heuristically). Detection mode runs the full extended taxonomy: the
     // ensemble attributes families like outliers and near-duplicates that
     // the diff heuristic never emits.
-    let errors =
-        if detect.is_some() { ErrorType::EXTENDED.to_vec() } else { ErrorType::ALL.to_vec() };
+    let errors = if config.detect.is_some() {
+        ErrorType::EXTENDED.to_vec()
+    } else {
+        ErrorType::ALL.to_vec()
+    };
 
     // `--metrics-out` turns on the observability registry for this run and
     // streams the JSONL journal to the given path while the session runs.
@@ -352,17 +366,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     }
 
     println!("dirty F1: {:.4}", env.evaluate().map_err(|e| e.to_string())?);
-    let config = CometConfig {
-        budget,
-        step_frac: step,
-        batch_size: batch,
-        max_retries,
-        kernels,
-        f32_probes,
-        detect,
-        segment_rows,
-        ..CometConfig::default()
-    };
     let mut session = CleaningSession::new(config, errors);
     if let Some(spec) = checkpoint {
         session = session.with_checkpoint(spec);
@@ -412,7 +415,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         );
     }
     print!("{}", trace.summary());
-    if detect.is_some() {
+    if config.detect.is_some() {
         // Harness-side diagnostics: how well the ensemble tracked the
         // dirty/clean diff (COMET itself never saw these numbers).
         if let Ok(scores) = env.detector_scores() {

@@ -176,6 +176,31 @@ fn unknown_command_and_missing_flags_fail_cleanly() {
 }
 
 #[test]
+fn recommend_rejects_bad_numeric_flags_without_panicking() {
+    let dir = temp_dir("bad_numbers");
+    let clean = dir.join("clean.csv");
+    write_clean_csv(&clean);
+    let path = clean.to_str().unwrap();
+    for (flag, value, field) in [
+        ("--budget", "nan", "budget"),
+        ("--budget", "inf", "budget"),
+        ("--budget", "-1", "budget"),
+        ("--step", "0", "step_frac"),
+    ] {
+        let out = comet()
+            .args(["recommend", "--dirty", path, "--clean", path, "--label", "y", flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("error: invalid configuration:"), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(field), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+    fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn recommend_rejects_shape_mismatch() {
     let dir = temp_dir("mismatch");
     let a = dir.join("a.csv");
