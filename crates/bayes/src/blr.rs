@@ -343,6 +343,40 @@ mod tests {
     }
 
     #[test]
+    fn conjugate_update_and_interval_match_closed_form() {
+        // Three points on a degree-1 basis [1, x] under V₀ = 2·I. By hand:
+        // precision V₀⁻¹ + XᵀX = [[7/2, 3], [3, 11/2]] (det 41/4), so
+        // Vₙ = [[22, −12], [−12, 14]]/41; Xᵀy = [7, 10] gives
+        // mₙ = [34, 56]/41; aₙ = 2 + 3/2; bₙ = ½ + ½(21 − mₙᵀXᵀy) = 52/41.
+        let config = BlrConfig { degree: 1, prior_scale: 2.0, a0: 2.0, b0: 0.5, interval: 0.95 };
+        let mut blr = BayesianLinearRegression::new(config);
+        let post = blr.fit(&[0.0, 1.0, 2.0], &[1.0, 2.0, 4.0]).unwrap().clone();
+        let close = |got: f64, want: f64, tol: f64| {
+            assert!((got - want).abs() < tol, "got {got}, want {want}");
+        };
+        for (got, want) in post.mean.iter().zip([34.0 / 41.0, 56.0 / 41.0]) {
+            close(*got, want, 1e-12);
+        }
+        let cov = [22.0 / 41.0, -12.0 / 41.0, -12.0 / 41.0, 14.0 / 41.0];
+        for (got, want) in post.cov_scale.iter().zip(cov) {
+            close(*got, want, 1e-12);
+        }
+        close(post.a, 3.5, 1e-12);
+        close(post.b, 52.0 / 41.0, 1e-12);
+        // Predictive: Student-t with 2aₙ = 7 degrees of freedom, scale
+        // √((bₙ/aₙ)(1 + xᵀVₙx)); t₇(0.975) is the 95 % half-width factor.
+        const T7_975: f64 = 2.364624251592785;
+        for (x, mean, xvx) in [(1.0, 90.0 / 41.0, 12.0 / 41.0), (3.0, 202.0 / 41.0, 76.0 / 41.0)] {
+            let p = blr.predict(x).unwrap();
+            let scale = (52.0f64 / 41.0 / 3.5 * (1.0 + xvx)).sqrt();
+            close(p.mean, mean, 1e-12);
+            close(p.scale, scale, 1e-12);
+            close(p.lower, mean - T7_975 * scale, 1e-9);
+            close(p.upper, mean + T7_975 * scale, 1e-9);
+        }
+    }
+
+    #[test]
     fn predict_before_fit_is_a_typed_error() {
         let blr = BayesianLinearRegression::new(BlrConfig::default());
         assert_eq!(blr.predict(0.0), Err(BayesError::Unfitted));

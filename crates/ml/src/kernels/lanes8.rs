@@ -1,6 +1,6 @@
-//! SIMD tier reference: portable 8-lane fixed-order kernels.
+//! Simd tier reference: the portable 8-lane reduction order.
 //!
-//! The SIMD tier's semantics are defined *here*, in plain Rust. Eight
+//! The simd tier's semantics are defined *here*, in plain Rust. Eight
 //! independent accumulator lanes run over an 8-wide unrolled body; lane
 //! `j` accumulates elements `8·c + j`. The horizontal combine is fixed as
 //!
@@ -10,12 +10,17 @@
 //! ```
 //!
 //! where `tail` is the sequential left-to-right remainder sum. The pair
-//! step `l_j + l_{j+4}` is exactly the vertical `acc_lo + acc_hi` add the
-//! AVX2/SSE2 implementations in [`super::x86`] perform, so the intrinsics
-//! are required (and property-tested) to be bit-identical to this module
-//! on every input. Fused multiply–add is deliberately *not* used anywhere
-//! in the SIMD tier: FMA rounds once where mul-then-add rounds twice, and
-//! would diverge from this reference.
+//! step `l_j + l_{j+4}` is exactly the vertical `acc_lo + acc_hi` add of
+//! the AVX2 encodings in [`super::x86`], which are required (and
+//! property-tested) to be bit-identical to this module on every input.
+//! [`super`] runs an AVX2 encoding when the CPU has AVX2 and this module
+//! otherwise; there is no other path. Fused multiply–add is deliberately
+//! *not* used anywhere in the simd tier: FMA rounds once where
+//! mul-then-add rounds twice, and would diverge from this reference.
+//!
+//! Only the reducing kernels live here, because the tier decides nothing
+//! else; the element-wise kernels have one tier-free implementation in
+//! [`super`].
 //!
 //! Like [`super::scalar`], this module is a lane-ordered primitive: raw
 //! float reductions are allowed here because the lane order is the
@@ -103,39 +108,6 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     combine8(&l) + tail
 }
 
-/// `y += alpha * x`, unrolled 8-wide. Element-wise (order-free); the
-/// results are bit-identical to the scalar tier by construction.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] += alpha * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y = alpha * y + beta * x`, unrolled 8-wide. Element-wise (order-free).
-#[inline]
-pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] = alpha * py[j] + beta * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi = alpha * *yi + beta * xi;
-    }
-}
-
 /// The fixed 8-lane horizontal combine shared by every SIMD-tier
 /// implementation: pairwise `l_j + l_{j+4}` (the vector `lo + hi` add),
 /// then `((s0 + s1) + (s2 + s3))`.
@@ -186,38 +158,6 @@ pub fn sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
         tail += d * d;
     }
     combine8_f32(&l) + tail
-}
-
-/// [`axpy`] in single precision.
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] += alpha * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// [`scale_axpy`] in single precision.
-#[inline]
-pub fn scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(8);
-    let mut cx = x.chunks_exact(8);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        for j in 0..8 {
-            py[j] = alpha * py[j] + beta * px[j];
-        }
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi = alpha * *yi + beta * xi;
-    }
 }
 
 /// The fixed 8-lane combine in single precision.

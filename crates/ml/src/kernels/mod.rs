@@ -1,39 +1,40 @@
-//! Tiered fixed-order linear-algebra kernels for the hot path.
+//! Fixed-order linear-algebra kernels for the hot path.
 //!
-//! Two kernel tiers implement the same API:
+//! The kernel tier decides exactly one thing: the reduction order of the
+//! reducing kernels [`dot`], [`sq_dist`], [`matvec`], [`matvec_bias`],
+//! [`matvec_t_bias`] and their `_f32` twins. Each tier has a portable
+//! reference module that *defines* its order:
 //!
-//! * [`KernelTier::Scalar`] — the original 4-lane unrolled kernels
-//!   ([`scalar`]): four independent accumulator lanes combined as
-//!   `(l0 + l1) + (l2 + l3)` plus a sequential tail. Portable default.
-//! * [`KernelTier::Simd`] — 8-lane explicitly-vectorized kernels: AVX2
-//!   or SSE2 `core::arch` intrinsics ([`x86`]) behind runtime feature
-//!   detection, with a portable 8-lane fallback ([`lanes8`]) that
-//!   *defines* the tier's reduction order. All three implementations are
-//!   bit-identical to each other on every input, so the Simd tier is
-//!   deterministic across machines — only the *tier choice* changes
-//!   results, never the hardware it runs on.
+//! * [`KernelTier::Scalar`] (default) — [`scalar`]: four independent
+//!   accumulator lanes combined as `(l0 + l1) + (l2 + l3)` plus a
+//!   sequential tail.
+//! * [`KernelTier::Simd`] — [`lanes8`]: eight lanes combined by
+//!   [`lanes8::combine8`] plus a sequential tail.
 //!
-//! [`matvec_t_bias`] (the MLP's training-time layer-1 forward) is the one
-//! kernel with an AVX2 encoding in *both* tiers, each bit-identical to its
-//! tier's portable reference. Its speed comes from running 4 columns per
-//! vector register, one register per dot lane, not from lane width, so the
-//! scalar tier gets it without changing a bit (DESIGN.md §10).
+//! The two tiers therefore produce *different* (each internally
+//! deterministic) results for the reducing kernels and everything built
+//! on them. The selected tier is part of the session identity in
+//! `comet-core`: a checkpoint taken under one tier refuses to resume under
+//! the other.
 //!
-//! Each lane width fixes one reduction order; the two tiers therefore
-//! produce *different* (each internally deterministic) results for the
-//! reducing kernels `dot`/`sq_dist` (and everything built on them). The
-//! selected tier is part of the session fingerprint and checkpoint
-//! header in `comet-core`: a checkpoint taken under one tier refuses to
-//! resume under the other. Element-wise kernels ([`axpy`],
-//! [`scale_axpy`]) and [`matmul`] (per-cell k-ascending single adds) are
-//! bit-identical across tiers.
+//! The order-free kernels never read the tier. [`axpy`], [`scale_axpy`]
+//! and their `_f32` twins are element-wise, and [`matmul`] gives every
+//! output cell one k-ascending add chain, so each has a single
+//! implementation with the same bits whichever tier is selected.
+//!
+//! Below the tier the only dispatch is AVX2 or the portable reference: a
+//! kernel with an encoding in [`x86`] (the simd tier's `dot`/`sq_dist`,
+//! both tiers' `matvec_t_bias`, and `matmul`) runs it when the CPU has
+//! AVX2, and its reference otherwise. Every encoding is bit-identical to
+//! its reference on every input, so results depend on the tier, never on
+//! the hardware.
 //!
 //! Tier selection, highest priority first: [`set_tier`] (sessions apply
 //! their config; the CLI's `--kernels` flag and benches call it
 //! directly), then the `COMET_KERNELS=scalar|simd` environment variable,
 //! then the scalar default. The choice is process-global (parallel
 //! evaluation workers must all agree) and read with a relaxed atomic
-//! load, so dispatch costs one predictable branch per kernel call.
+//! load, so a reducing kernel pays one predictable branch per call.
 //!
 //! The `_f32` twins serve the opt-in f32 probe tier (`f32_probes` in
 //! `comet-core`): same lane-order rules in single precision.
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelTier {
     /// 4-lane unrolled scalar kernels (portable default).
     Scalar,
-    /// 8-lane SIMD kernels (AVX2/SSE2 with portable fallback).
+    /// 8-lane kernels (AVX2 with a portable fallback).
     Simd,
 }
 
@@ -61,15 +62,6 @@ impl KernelTier {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Simd => "simd",
-        }
-    }
-
-    /// Accumulator lanes per reduction — the fixed reduction order's
-    /// width, recorded alongside the tier name wherever it is persisted.
-    pub fn lanes(self) -> usize {
-        match self {
-            KernelTier::Scalar => 4,
-            KernelTier::Simd => 8,
         }
     }
 
@@ -147,23 +139,40 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// `y += alpha * x`. Element-wise, so no accumulation order is involved
-/// and the result is bit-identical in every tier.
+/// `y += alpha * x`, unrolled 4-wide. Element-wise, so no accumulation
+/// order is involved: the tier is not read, and the unroll only widens
+/// the store pipeline.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    match tier() {
-        KernelTier::Scalar => scalar::axpy(alpha, x, y),
-        KernelTier::Simd => simd_axpy(alpha, x, y),
+    debug_assert_eq!(x.len(), y.len());
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
+        py[0] += alpha * px[0];
+        py[1] += alpha * px[1];
+        py[2] += alpha * px[2];
+        py[3] += alpha * px[3];
+    }
+    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi += alpha * xi;
     }
 }
 
-/// `y = alpha * y + beta * x` (the SGD weight-decay + gradient step
-/// fused into one pass). Element-wise; bit-identical in every tier.
+/// `y = alpha * y + beta * x`, unrolled 4-wide (the SGD weight-decay +
+/// gradient step fused into one pass). Element-wise; the tier is not read.
 #[inline]
 pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    match tier() {
-        KernelTier::Scalar => scalar::scale_axpy(alpha, y, beta, x),
-        KernelTier::Simd => simd_scale_axpy(alpha, y, beta, x),
+    debug_assert_eq!(x.len(), y.len());
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
+        py[0] = alpha * py[0] + beta * px[0];
+        py[1] = alpha * py[1] + beta * px[1];
+        py[2] = alpha * py[2] + beta * px[2];
+        py[3] = alpha * py[3] + beta * px[3];
+    }
+    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi = alpha * *yi + beta * xi;
     }
 }
 
@@ -281,62 +290,39 @@ pub fn matvec_t_bias(at: &[f64], d: usize, h: usize, x: &[f64], bias: &[f64], ou
     }
 }
 
-/// Block edge for [`matmul`]: 64 f64 columns = one 512-byte panel per
-/// row, keeping a `B × B` tile of `b` plus a row of `out` inside L1/L2.
+/// Block edge for [`matmul`]'s portable loop: 64 f64 columns = one
+/// 512-byte panel per row, keeping a `B × B` tile of `b` plus a row of
+/// `out` inside L1/L2.
 const MM_BLOCK: usize = 64;
 
-/// Dense row-major matrix product `out = a(m×k) * b(k×n)`, cache-blocked.
+/// Dense row-major matrix product `out = a(m×k) * b(k×n)`.
 ///
-/// The accumulation order per output cell is the plain k-ascending order
-/// of the textbook i-k-j loop: each `out[i][j]` receives its
-/// `a[i][k]*b[k][j]` terms with k strictly ascending — one add per term,
-/// no horizontal combines — so the result is bit-identical to the
-/// unblocked loop, independent of the blocking, *and identical across
-/// kernel tiers*. The scalar tier tiles the j/k dimensions around an
-/// axpy panel loop; the SIMD tier uses register-blocked broadcast
-/// micro-kernels (4×8 f64 tiles of dedicated accumulators in
-/// [`x86::matmul_avx2`]/[`x86::matmul_sse2`]) that add instruction-level
-/// parallelism across cells, never within one. The ISA is resolved once
-/// per call, so the inner loops carry no dispatch overhead.
+/// Each `out[i][j]` receives its `a[i][k]*b[k][j]` terms with k strictly
+/// ascending — one add per term, no horizontal combines — so the result
+/// is bit-identical to the textbook i-k-j loop and independent of any
+/// blocking, so the tier is never read. With AVX2 the register-blocked
+/// [`x86::matmul_avx2`] runs (4×8 tiles of dedicated accumulators add
+/// parallelism across cells, never within one); otherwise the portable
+/// cache-blocked loop does.
+///
+/// Panics if `a`, `b` or `out` does not match the `m × k`, `k × n` and
+/// `m × n` shapes.
 pub fn matmul(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match tier() {
-        KernelTier::Scalar => {
-            out.fill(0.0);
-            matmul_with(scalar::axpy, a, m, k, b, n, out);
-        }
-        KernelTier::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if x86::has_avx2() {
-                    // SAFETY: AVX2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_avx2(a, m, k, b, n, out) };
-                }
-                if x86::has_sse2() {
-                    // SAFETY: SSE2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_sse2(a, m, k, b, n, out) };
-                }
-            }
-            out.fill(0.0);
-            matmul_with(lanes8::axpy, a, m, k, b, n, out);
-        }
+    assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n, "matmul shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above and the
+        // shapes were asserted on entry.
+        return unsafe { x86::matmul_avx2(a, m, k, b, n, out) };
     }
+    matmul_blocked(a, m, k, b, n, out)
 }
 
-/// The blocked i-k-j loop behind [`matmul`], monomorphized over the axpy
-/// implementation so the hoisted ISA choice inlines into the inner loop.
-#[inline]
-fn matmul_with(
-    axpy_k: impl Fn(f64, &[f64], &mut [f64]),
-    a: &[f64],
-    m: usize,
-    k: usize,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-) {
+/// The portable loop behind [`matmul`]: the i-k-j loop with the j and k
+/// dimensions tiled, one [`axpy`] per `a[i][k]` over a panel of `b`'s row
+/// `k`, so each cell still sees k strictly ascending.
+fn matmul_blocked(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    out.fill(0.0);
     for j0 in (0..n).step_by(MM_BLOCK) {
         let j1 = (j0 + MM_BLOCK).min(n);
         for k0 in (0..k).step_by(MM_BLOCK) {
@@ -345,54 +331,29 @@ fn matmul_with(
                 let a_row = &a[i * k..(i + 1) * k];
                 let out_row = &mut out[i * n + j0..i * n + j1];
                 for kk in k0..k1 {
-                    axpy_k(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
+                    axpy(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
                 }
             }
         }
     }
 }
 
-/// [`matmul`] in single precision (f32 probe tier). Same k-ascending
-/// per-cell accumulation order, so it is likewise block-size- and
-/// tier-invariant.
+/// [`matmul`] in single precision (f32 probe tier): same k-ascending
+/// per-cell order, same dispatch, same shape check.
 pub fn matmul_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match tier() {
-        KernelTier::Scalar => {
-            out.fill(0.0);
-            matmul_with_f32(scalar::axpy_f32, a, m, k, b, n, out);
-        }
-        KernelTier::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if x86::has_avx2() {
-                    // SAFETY: AVX2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_f32_avx2(a, m, k, b, n, out) };
-                }
-                if x86::has_sse2() {
-                    // SAFETY: SSE2 support was verified at runtime just above.
-                    return unsafe { x86::matmul_f32_sse2(a, m, k, b, n, out) };
-                }
-            }
-            out.fill(0.0);
-            matmul_with_f32(lanes8::axpy_f32, a, m, k, b, n, out);
-        }
+    assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n, "matmul shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above and the
+        // shapes were asserted on entry.
+        return unsafe { x86::matmul_f32_avx2(a, m, k, b, n, out) };
     }
+    matmul_blocked_f32(a, m, k, b, n, out)
 }
 
-/// [`matmul_with`] in single precision.
-#[inline]
-fn matmul_with_f32(
-    axpy_k: impl Fn(f32, &[f32], &mut [f32]),
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
+/// [`matmul_blocked`] in single precision.
+fn matmul_blocked_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    out.fill(0.0);
     for j0 in (0..n).step_by(MM_BLOCK) {
         let j1 = (j0 + MM_BLOCK).min(n);
         for k0 in (0..k).step_by(MM_BLOCK) {
@@ -401,7 +362,7 @@ fn matmul_with_f32(
                 let a_row = &a[i * k..(i + 1) * k];
                 let out_row = &mut out[i * n + j0..i * n + j1];
                 for kk in k0..k1 {
-                    axpy_k(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
+                    axpy_f32(a_row[kk], &b[kk * n + j0..kk * n + j1], out_row);
                 }
             }
         }
@@ -462,18 +423,34 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
 /// [`axpy`] in single precision (f32 probe tier).
 #[inline]
 pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    match tier() {
-        KernelTier::Scalar => scalar::axpy_f32(alpha, x, y),
-        KernelTier::Simd => simd_axpy_f32(alpha, x, y),
+    debug_assert_eq!(x.len(), y.len());
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
+        py[0] += alpha * px[0];
+        py[1] += alpha * px[1];
+        py[2] += alpha * px[2];
+        py[3] += alpha * px[3];
+    }
+    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi += alpha * xi;
     }
 }
 
 /// [`scale_axpy`] in single precision (f32 probe tier).
 #[inline]
 pub fn scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    match tier() {
-        KernelTier::Scalar => scalar::scale_axpy_f32(alpha, y, beta, x),
-        KernelTier::Simd => simd_scale_axpy_f32(alpha, y, beta, x),
+    debug_assert_eq!(x.len(), y.len());
+    let mut cy = y.chunks_exact_mut(4);
+    let mut cx = x.chunks_exact(4);
+    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
+        py[0] = alpha * py[0] + beta * px[0];
+        py[1] = alpha * py[1] + beta * px[1];
+        py[2] = alpha * py[2] + beta * px[2];
+        py[3] = alpha * py[3] + beta * px[3];
+    }
+    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi = alpha * *yi + beta * xi;
     }
 }
 
@@ -536,21 +513,15 @@ pub fn matvec_bias_f32(
 }
 
 // ---------------------------------------------------------------------
-// Simd-tier dispatch: AVX2 when detected, SSE2 otherwise (x86_64
-// baseline), portable lanes8 elsewhere. All three are bit-identical.
+// Simd-tier reductions: AVX2 when detected, otherwise the portable lanes8
+// reference, which gives the same bits.
 
 #[inline]
 fn simd_dot(a: &[f64], b: &[f64]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::dot_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::dot_sse2(a, b) };
-        }
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above.
+        return unsafe { x86::dot_avx2(a, b) };
     }
     lanes8::dot(a, b)
 }
@@ -558,63 +529,19 @@ fn simd_dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 fn simd_sq_dist(a: &[f64], b: &[f64]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_sse2(a, b) };
-        }
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above.
+        return unsafe { x86::sq_dist_avx2(a, b) };
     }
     lanes8::sq_dist(a, b)
 }
 
 #[inline]
-fn simd_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::axpy_avx2(alpha, x, y) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::axpy_sse2(alpha, x, y) };
-        }
-    }
-    lanes8::axpy(alpha, x, y)
-}
-
-#[inline]
-fn simd_scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_avx2(alpha, y, beta, x) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_sse2(alpha, y, beta, x) };
-        }
-    }
-    lanes8::scale_axpy(alpha, y, beta, x)
-}
-
-#[inline]
 fn simd_dot_f32(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::dot_f32_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::dot_f32_sse2(a, b) };
-        }
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above.
+        return unsafe { x86::dot_f32_avx2(a, b) };
     }
     lanes8::dot_f32(a, b)
 }
@@ -622,49 +549,11 @@ fn simd_dot_f32(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 fn simd_sq_dist_f32(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_f32_avx2(a, b) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::sq_dist_f32_sse2(a, b) };
-        }
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above.
+        return unsafe { x86::sq_dist_f32_avx2(a, b) };
     }
     lanes8::sq_dist_f32(a, b)
-}
-
-#[inline]
-fn simd_axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::axpy_f32_avx2(alpha, x, y) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::axpy_f32_sse2(alpha, x, y) };
-        }
-    }
-    lanes8::axpy_f32(alpha, x, y)
-}
-
-#[inline]
-fn simd_scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::has_avx2() {
-            // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_f32_avx2(alpha, y, beta, x) };
-        }
-        if x86::has_sse2() {
-            // SAFETY: SSE2 support was verified at runtime just above.
-            return unsafe { x86::scale_axpy_f32_sse2(alpha, y, beta, x) };
-        }
-    }
-    lanes8::scale_axpy_f32(alpha, y, beta, x)
 }
 
 /// Tier selection for the crate's unit tests. The selection is
@@ -707,6 +596,10 @@ mod tests {
         (0..n).map(|i| (i as f64 * 0.37 - 1.5) * scale).collect()
     }
 
+    fn to_f32(v: &[f64]) -> Vec<f32> {
+        v.iter().map(|&x| x as f32).collect()
+    }
+
     #[test]
     fn max_sanitized_ignores_nan_and_handles_empty() {
         assert_eq!(max_sanitized(&[1.0, 3.0, 2.0]), 3.0);
@@ -727,8 +620,6 @@ mod tests {
         }
         assert_eq!(KernelTier::parse("SIMD"), Some(KernelTier::Simd));
         assert_eq!(KernelTier::parse("avx512"), None);
-        assert_eq!(KernelTier::Scalar.lanes(), 4);
-        assert_eq!(KernelTier::Simd.lanes(), 8);
     }
 
     #[test]
@@ -762,6 +653,18 @@ mod tests {
                     z.iter().zip(&x).map(|(zi, xi)| 0.9 * zi - 0.1 * xi).collect();
                 scale_axpy(0.9, &mut z, -0.1, &x);
                 assert_eq!(z, expect);
+
+                let xf = to_f32(&x);
+                let mut yf = to_f32(&seq(n, 1.0));
+                let expect: Vec<f32> = yf.iter().zip(&xf).map(|(yi, xi)| yi + 0.5 * xi).collect();
+                axpy_f32(0.5, &xf, &mut yf);
+                assert_eq!(yf, expect);
+
+                let mut zf = to_f32(&seq(n, 1.0));
+                let expect: Vec<f32> =
+                    zf.iter().zip(&xf).map(|(zi, xi)| 0.9 * zi - 0.1 * xi).collect();
+                scale_axpy_f32(0.9, &mut zf, -0.1, &xf);
+                assert_eq!(zf, expect);
             }
         }
     }
@@ -828,7 +731,59 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "tier={t} m={m} k={k} n={n}");
                 }
             }
+            // The portable loop directly, so it stays checked on AVX2 hosts
+            // too (a stale `out` must not leak into the result).
+            let mut portable = vec![f64::NAN; m * n];
+            matmul_blocked(&a, m, k, &b, n, &mut portable);
+            for (x, y) in portable.iter().zip(&naive) {
+                assert_eq!(x.to_bits(), y.to_bits(), "portable m={m} k={k} n={n}");
+            }
+            let (af, bf) = (to_f32(&a), to_f32(&b));
+            let mut want = vec![0.0f32; m * n];
+            matmul_f32(&af, m, k, &bf, n, &mut want);
+            let mut portable = vec![f32::NAN; m * n];
+            matmul_blocked_f32(&af, m, k, &bf, n, &mut portable);
+            for (x, y) in portable.iter().zip(&want) {
+                assert_eq!(x.to_bits(), y.to_bits(), "portable f32 m={m} k={k} n={n}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_rejects_a_short_a() {
+        matmul(&[0.0; 7], 4, 2, &[0.0; 16], 8, &mut [0.0; 32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_rejects_a_short_b() {
+        matmul(&[0.0; 8], 4, 2, &[0.0; 15], 8, &mut [0.0; 32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_rejects_a_short_out() {
+        // One full 4×8 AVX2 tile, but room for only 8 of its 32 cells.
+        matmul(&[0.0; 8], 4, 2, &[0.0; 16], 8, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_f32_rejects_a_short_a() {
+        matmul_f32(&[0.0; 7], 4, 2, &[0.0; 32], 16, &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_f32_rejects_a_short_b() {
+        matmul_f32(&[0.0; 8], 4, 2, &[0.0; 31], 16, &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul shape mismatch")]
+    fn matmul_f32_rejects_a_short_out() {
+        matmul_f32(&[0.0; 8], 4, 2, &[0.0; 32], 16, &mut [0.0; 16]);
     }
 
     #[test]

@@ -1,10 +1,17 @@
-//! Scalar tier: 4-lane fixed-order kernels (the portable default).
+//! Scalar tier reference: the 4-lane reduction order (the default tier).
 //!
-//! These are the original COMET kernels: four independent accumulator
+//! These are the original COMET reductions: four independent accumulator
 //! lanes over a 4-wide unrolled body, combined as `(l0 + l1) + (l2 + l3)`
 //! plus a sequential tail. The unrolling breaks the sequential-add
 //! dependency chain without licensing the compiler to re-associate the
 //! sum, so results are bit-identical run-to-run and across thread counts.
+//!
+//! Only the reducing kernels live here, because the tier decides nothing
+//! else. [`super`] runs `dot` and `sq_dist` from this module as they are;
+//! `matvec_t_bias` runs its AVX2 encoding
+//! ([`super::x86::matvec_t_bias4_avx2`]) when the CPU has AVX2 and this
+//! reference otherwise. The element-wise kernels have one tier-free
+//! implementation in [`super`].
 //!
 //! This module is a *lane-ordered primitive*: raw float reductions are
 //! permitted here (and only here, in `lanes8`, and in `x86`) because the
@@ -77,42 +84,6 @@ pub(super) fn matvec_t_bias_from(
     }
 }
 
-/// `y += alpha * x`, unrolled 4-wide. Element-wise, so no accumulation
-/// order is involved; the unroll only widens the store pipeline.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(4);
-    let mut cx = x.chunks_exact(4);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        py[0] += alpha * px[0];
-        py[1] += alpha * px[1];
-        py[2] += alpha * px[2];
-        py[3] += alpha * px[3];
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y = alpha * y + beta * x`, unrolled 4-wide (the SGD weight-decay +
-/// gradient step fused into one pass).
-#[inline]
-pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(4);
-    let mut cx = x.chunks_exact(4);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        py[0] = alpha * py[0] + beta * px[0];
-        py[1] = alpha * py[1] + beta * px[1];
-        py[2] = alpha * py[2] + beta * px[2];
-        py[3] = alpha * py[3] + beta * px[3];
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi = alpha * *yi + beta * xi;
-    }
-}
-
 /// Squared Euclidean distance with four fixed-order lanes.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -156,40 +127,6 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         tail += x * y;
     }
     ((l0 + l1) + (l2 + l3)) + tail
-}
-
-/// [`axpy`] in single precision.
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(4);
-    let mut cx = x.chunks_exact(4);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        py[0] += alpha * px[0];
-        py[1] += alpha * px[1];
-        py[2] += alpha * px[2];
-        py[3] += alpha * px[3];
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// [`scale_axpy`] in single precision.
-#[inline]
-pub fn scale_axpy_f32(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut cy = y.chunks_exact_mut(4);
-    let mut cx = x.chunks_exact(4);
-    for (py, px) in cy.by_ref().zip(cx.by_ref()) {
-        py[0] = alpha * py[0] + beta * px[0];
-        py[1] = alpha * py[1] + beta * px[1];
-        py[2] = alpha * py[2] + beta * px[2];
-        py[3] = alpha * py[3] + beta * px[3];
-    }
-    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
-        *yi = alpha * *yi + beta * xi;
-    }
 }
 
 /// [`sq_dist`] in single precision, same 4-lane order.

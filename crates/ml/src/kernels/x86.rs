@@ -1,21 +1,24 @@
-//! x86_64 AVX2/SSE2 implementations of the SIMD tier, plus the AVX2
-//! encoding of the scalar tier's [`super::scalar::matvec_t_bias`].
+//! x86_64 AVX2 encodings of the kernels that have one: the simd tier's
+//! reductions (`dot`, `sq_dist` and their f32 twins), both tiers'
+//! `matvec_t_bias`, and the tier-free `matmul`/`matmul_f32`.
 //!
 //! Every function here is required to be **bit-identical** to its
-//! portable reference in [`super::lanes8`] (or, for
-//! [`matvec_t_bias4_avx2`], [`super::scalar`]) on every input — the lane
-//! assignment and horizontal-combine order are the same, only the
-//! instruction encoding differs:
+//! portable reference on every input: [`super::lanes8`] for the simd
+//! tier's reductions and [`matvec_t_bias8_avx2`], [`super::scalar`] for
+//! [`matvec_t_bias4_avx2`], and the k-ascending i-k-j loop for the
+//! matmuls. The lane assignment and combine order are the reference's;
+//! only the instruction encoding differs:
 //!
-//! * AVX2 keeps lanes `l0..l3` in the low 256-bit accumulator and
-//!   `l4..l7` in the high one (one register each for f64; one register
-//!   total for f32). The vertical `lo + hi` add produces `[s0, s1, s2,
-//!   s3]`, combined in scalar code as `(s0 + s1) + (s2 + s3)`.
-//! * SSE2 splits the same 8 lanes across four 128-bit f64 accumulators
-//!   (two for f32) and performs the identical vertical adds.
+//! * The 8-lane reductions keep lanes `l0..l3` in the low 256-bit
+//!   accumulator and `l4..l7` in the high one (one register each for f64;
+//!   one register total for f32). The vertical `lo + hi` add produces
+//!   `[s0, s1, s2, s3]`, combined in scalar code as `(s0 + s1) + (s2 +
+//!   s3)`.
 //! * The transposed matvecs instead give each dot lane its own register
 //!   holding that lane for 4 adjacent columns, and combine vertically in
 //!   the reference's order, so no horizontal add is needed at all.
+//! * The matmuls give each output cell its own accumulator lane, one add
+//!   per k in ascending order.
 //!
 //! No fused multiply–add: FMA rounds once where the reference's
 //! mul-then-add rounds twice, so `_mm256_fmadd_pd` and friends are
@@ -23,31 +26,22 @@
 //! addition and multiplication are themselves deterministic, so matching
 //! the operation order is sufficient for bit-identity.
 //!
-//! Dispatch lives in [`super`]: callers check [`has_avx2`]/[`has_sse2`]
-//! and fall back to `lanes8` (the proptests in `tests/kernel_tiers.rs`
-//! exercise all three paths against each other).
+//! Dispatch lives in [`super`]: a kernel with an encoding here runs it
+//! when [`has_avx2`] holds and its portable reference otherwise; there is
+//! no other ISA path. The tests in `tests/kernel_tiers.rs` check every
+//! encoding against its reference.
 
 use core::arch::x86_64::{
     __m128, __m256, _mm256_add_pd, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps,
     _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps,
     _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd,
-    _mm256_sub_ps, _mm_add_pd, _mm_add_ps, _mm_loadu_pd, _mm_loadu_ps, _mm_mul_pd, _mm_mul_ps,
-    _mm_set1_pd, _mm_set1_ps, _mm_setzero_pd, _mm_setzero_ps, _mm_storeu_pd, _mm_storeu_ps,
-    _mm_sub_pd, _mm_sub_ps,
+    _mm256_sub_ps, _mm_add_ps, _mm_storeu_ps,
 };
 
 /// Runtime AVX2 support (cached by `std` after the first query).
 #[inline]
 pub fn has_avx2() -> bool {
     std::is_x86_feature_detected!("avx2")
-}
-
-/// Runtime SSE2 support. Always true on x86_64 (SSE2 is part of the
-/// baseline ISA), kept as an explicit check so the dispatcher's fallback
-/// chain is uniform.
-#[inline]
-pub fn has_sse2() -> bool {
-    std::is_x86_feature_detected!("sse2")
 }
 
 /// Horizontal combine of `[s0, s1, s2, s3]` matching
@@ -94,41 +88,6 @@ pub unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
         tail += a[i] * b[i];
     }
     combine4(s) + tail
-}
-
-/// [`super::lanes8::dot`] via SSE2, bit-identical.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads a[i..i+8]/b[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    // Lane pairs [l0,l1] [l2,l3] [l4,l5] [l6,l7].
-    let mut a01 = _mm_setzero_pd();
-    let mut a23 = _mm_setzero_pd();
-    let mut a45 = _mm_setzero_pd();
-    let mut a67 = _mm_setzero_pd();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        a01 = _mm_add_pd(a01, _mm_mul_pd(_mm_loadu_pd(ap.add(i)), _mm_loadu_pd(bp.add(i))));
-        a23 = _mm_add_pd(a23, _mm_mul_pd(_mm_loadu_pd(ap.add(i + 2)), _mm_loadu_pd(bp.add(i + 2))));
-        a45 = _mm_add_pd(a45, _mm_mul_pd(_mm_loadu_pd(ap.add(i + 4)), _mm_loadu_pd(bp.add(i + 4))));
-        a67 = _mm_add_pd(a67, _mm_mul_pd(_mm_loadu_pd(ap.add(i + 6)), _mm_loadu_pd(bp.add(i + 6))));
-    }
-    // Vertical lo + hi: [l0+l4, l1+l5] and [l2+l6, l3+l7].
-    let mut s01 = [0.0f64; 2];
-    let mut s23 = [0.0f64; 2];
-    _mm_storeu_pd(s01.as_mut_ptr(), _mm_add_pd(a01, a45));
-    _mm_storeu_pd(s23.as_mut_ptr(), _mm_add_pd(a23, a67));
-    let mut tail = 0.0;
-    for i in chunks * 8..n {
-        tail += a[i] * b[i];
-    }
-    combine4([s01[0], s01[1], s23[0], s23[1]]) + tail
 }
 
 /// Columns `j..j + 4·V` of a transposed matvec with bias, each reduced in
@@ -282,157 +241,6 @@ pub unsafe fn sq_dist_avx2(a: &[f64], b: &[f64]) -> f64 {
     combine4(s) + tail
 }
 
-/// [`super::lanes8::sq_dist`] via SSE2, bit-identical.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads a[i..i+8]/b[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn sq_dist_sse2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut a01 = _mm_setzero_pd();
-    let mut a23 = _mm_setzero_pd();
-    let mut a45 = _mm_setzero_pd();
-    let mut a67 = _mm_setzero_pd();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        let d0 = _mm_sub_pd(_mm_loadu_pd(ap.add(i)), _mm_loadu_pd(bp.add(i)));
-        let d1 = _mm_sub_pd(_mm_loadu_pd(ap.add(i + 2)), _mm_loadu_pd(bp.add(i + 2)));
-        let d2 = _mm_sub_pd(_mm_loadu_pd(ap.add(i + 4)), _mm_loadu_pd(bp.add(i + 4)));
-        let d3 = _mm_sub_pd(_mm_loadu_pd(ap.add(i + 6)), _mm_loadu_pd(bp.add(i + 6)));
-        a01 = _mm_add_pd(a01, _mm_mul_pd(d0, d0));
-        a23 = _mm_add_pd(a23, _mm_mul_pd(d1, d1));
-        a45 = _mm_add_pd(a45, _mm_mul_pd(d2, d2));
-        a67 = _mm_add_pd(a67, _mm_mul_pd(d3, d3));
-    }
-    let mut s01 = [0.0f64; 2];
-    let mut s23 = [0.0f64; 2];
-    _mm_storeu_pd(s01.as_mut_ptr(), _mm_add_pd(a01, a45));
-    _mm_storeu_pd(s23.as_mut_ptr(), _mm_add_pd(a23, a67));
-    let mut tail = 0.0;
-    for i in chunks * 8..n {
-        let d = a[i] - b[i];
-        tail += d * d;
-    }
-    combine4([s01[0], s01[1], s23[0], s23[1]]) + tail
-}
-
-/// `y += alpha * x` via AVX2 (element-wise; bit-identical to every tier).
-///
-/// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm256_set1_pd(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        let y_lo = _mm256_add_pd(
-            _mm256_loadu_pd(yp.add(i)),
-            _mm256_mul_pd(va, _mm256_loadu_pd(xp.add(i))),
-        );
-        let y_hi = _mm256_add_pd(
-            _mm256_loadu_pd(yp.add(i + 4)),
-            _mm256_mul_pd(va, _mm256_loadu_pd(xp.add(i + 4))),
-        );
-        _mm256_storeu_pd(yp.add(i), y_lo);
-        _mm256_storeu_pd(yp.add(i + 4), y_hi);
-    }
-    for i in chunks * 8..n {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// `y += alpha * x` via SSE2 (element-wise; bit-identical to every tier).
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn axpy_sse2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm_set1_pd(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for off in [0usize, 2, 4, 6] {
-            let v = _mm_add_pd(
-                _mm_loadu_pd(yp.add(i + off)),
-                _mm_mul_pd(va, _mm_loadu_pd(xp.add(i + off))),
-            );
-            _mm_storeu_pd(yp.add(i + off), v);
-        }
-    }
-    for i in chunks * 8..n {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// `y = alpha * y + beta * x` via AVX2 (element-wise).
-///
-/// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "avx2")]
-pub unsafe fn scale_axpy_avx2(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm256_set1_pd(alpha);
-    let vb = _mm256_set1_pd(beta);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for off in [0usize, 4] {
-            let ay = _mm256_mul_pd(va, _mm256_loadu_pd(yp.add(i + off)));
-            let bx = _mm256_mul_pd(vb, _mm256_loadu_pd(xp.add(i + off)));
-            _mm256_storeu_pd(yp.add(i + off), _mm256_add_pd(ay, bx));
-        }
-    }
-    for i in chunks * 8..n {
-        y[i] = alpha * y[i] + beta * x[i];
-    }
-}
-
-/// `y = alpha * y + beta * x` via SSE2 (element-wise).
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn scale_axpy_sse2(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm_set1_pd(alpha);
-    let vb = _mm_set1_pd(beta);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for off in [0usize, 2, 4, 6] {
-            let ay = _mm_mul_pd(va, _mm_loadu_pd(yp.add(i + off)));
-            let bx = _mm_mul_pd(vb, _mm_loadu_pd(xp.add(i + off)));
-            _mm_storeu_pd(yp.add(i + off), _mm_add_pd(ay, bx));
-        }
-    }
-    for i in chunks * 8..n {
-        y[i] = alpha * y[i] + beta * x[i];
-    }
-}
-
 /// [`super::lanes8::dot_f32`] via AVX2, bit-identical. One 256-bit
 /// register holds all 8 lanes; `lo + hi` is the 128-bit halves add.
 ///
@@ -460,36 +268,6 @@ pub unsafe fn dot_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
     hsum8_f32(acc) + tail
 }
 
-/// [`super::lanes8::dot_f32`] via SSE2, bit-identical.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads a[i..i+8]/b[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn dot_f32_sse2(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc_lo: __m128 = _mm_setzero_ps(); // lanes l0..l3
-    let mut acc_hi: __m128 = _mm_setzero_ps(); // lanes l4..l7
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(_mm_loadu_ps(ap.add(i)), _mm_loadu_ps(bp.add(i))));
-        acc_hi = _mm_add_ps(
-            acc_hi,
-            _mm_mul_ps(_mm_loadu_ps(ap.add(i + 4)), _mm_loadu_ps(bp.add(i + 4))),
-        );
-    }
-    let mut s = [0.0f32; 4];
-    _mm_storeu_ps(s.as_mut_ptr(), _mm_add_ps(acc_lo, acc_hi));
-    let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        tail += a[i] * b[i];
-    }
-    combine4_f32(s) + tail
-}
-
 /// [`super::lanes8::sq_dist_f32`] via AVX2, bit-identical.
 ///
 /// # Safety
@@ -515,156 +293,23 @@ pub unsafe fn sq_dist_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
     hsum8_f32(acc) + tail
 }
 
-/// [`super::lanes8::sq_dist_f32`] via SSE2, bit-identical.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads a[i..i+8]/b[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn sq_dist_f32_sse2(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc_lo: __m128 = _mm_setzero_ps();
-    let mut acc_hi: __m128 = _mm_setzero_ps();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        let d_lo = _mm_sub_ps(_mm_loadu_ps(ap.add(i)), _mm_loadu_ps(bp.add(i)));
-        let d_hi = _mm_sub_ps(_mm_loadu_ps(ap.add(i + 4)), _mm_loadu_ps(bp.add(i + 4)));
-        acc_lo = _mm_add_ps(acc_lo, _mm_mul_ps(d_lo, d_lo));
-        acc_hi = _mm_add_ps(acc_hi, _mm_mul_ps(d_hi, d_hi));
-    }
-    let mut s = [0.0f32; 4];
-    _mm_storeu_ps(s.as_mut_ptr(), _mm_add_ps(acc_lo, acc_hi));
-    let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        let d = a[i] - b[i];
-        tail += d * d;
-    }
-    combine4_f32(s) + tail
-}
-
-/// `y += alpha * x` (f32) via AVX2 (element-wise).
-///
-/// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "avx2")]
-pub unsafe fn axpy_f32_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm256_set1_ps(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        let v = _mm256_add_ps(
-            _mm256_loadu_ps(yp.add(i)),
-            _mm256_mul_ps(va, _mm256_loadu_ps(xp.add(i))),
-        );
-        _mm256_storeu_ps(yp.add(i), v);
-    }
-    for i in chunks * 8..n {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// `y += alpha * x` (f32) via SSE2 (element-wise).
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn axpy_f32_sse2(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm_set1_ps(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for off in [0usize, 4] {
-            let v = _mm_add_ps(
-                _mm_loadu_ps(yp.add(i + off)),
-                _mm_mul_ps(va, _mm_loadu_ps(xp.add(i + off))),
-            );
-            _mm_storeu_ps(yp.add(i + off), v);
-        }
-    }
-    for i in chunks * 8..n {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// `y = alpha * y + beta * x` (f32) via AVX2 (element-wise).
-///
-/// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "avx2")]
-pub unsafe fn scale_axpy_f32_avx2(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm256_set1_ps(alpha);
-    let vb = _mm256_set1_ps(beta);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        let ay = _mm256_mul_ps(va, _mm256_loadu_ps(yp.add(i)));
-        let bx = _mm256_mul_ps(vb, _mm256_loadu_ps(xp.add(i)));
-        _mm256_storeu_ps(yp.add(i), _mm256_add_ps(ay, bx));
-    }
-    for i in chunks * 8..n {
-        y[i] = alpha * y[i] + beta * x[i];
-    }
-}
-
-/// `y = alpha * y + beta * x` (f32) via SSE2 (element-wise).
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: body reads/writes x[i..i+8]/y[i..i+8] only for i + 8 <= n (n = min length).
-#[target_feature(enable = "sse2")]
-pub unsafe fn scale_axpy_f32_sse2(alpha: f32, y: &mut [f32], beta: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len().min(y.len());
-    let va = _mm_set1_ps(alpha);
-    let vb = _mm_set1_ps(beta);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for off in [0usize, 4] {
-            let ay = _mm_mul_ps(va, _mm_loadu_ps(yp.add(i + off)));
-            let bx = _mm_mul_ps(vb, _mm_loadu_ps(xp.add(i + off)));
-            _mm_storeu_ps(yp.add(i + off), _mm_add_ps(ay, bx));
-        }
-    }
-    for i in chunks * 8..n {
-        y[i] = alpha * y[i] + beta * x[i];
-    }
-}
-
 /// Register-blocked `out = a(m×k) · b(k×n)` via AVX2.
 ///
 /// Each output cell accumulates its `a[i][kk] * b[kk][j]` terms with
 /// `kk` strictly ascending in one dedicated accumulator lane — a single
 /// add per term, no horizontal combines, no FMA — so the result is
-/// bit-identical to the naive i-k-j loop and to [`super::matmul`] in
-/// every other tier. The 4×8 register tile (eight ymm accumulators)
+/// bit-identical to the naive i-k-j loop and to [`super::matmul`]'s
+/// portable loop. The 4×8 register tile (eight ymm accumulators)
 /// only adds instruction-level parallelism *across* cells, never within
 /// one; remainder rows/columns fall back to the same-order scalar cell
 /// loop.
 ///
 /// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: pointer access bounded by the debug-asserted m*k/k*n/m*n shapes;
+/// The CPU must support AVX2 ([`has_avx2`]), and the shapes must match:
+/// `a.len() == m·k`, `b.len() == k·n` and `out.len() == m·n`. The tiles
+/// read and write through raw pointers, so a shorter slice is an
+/// out-of-bounds access ([`super::matmul`] asserts the shapes first).
+// SAFETY: accesses stay inside the caller-guaranteed m*k/k*n/m*n shapes;
 // the vector body touches only full 4×8 tiles (i + 4 <= m, j + 8 <= n).
 #[target_feature(enable = "avx2")]
 pub unsafe fn matmul_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
@@ -721,67 +366,6 @@ pub unsafe fn matmul_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, ou
     matmul_cells(a, k, b, n, out, full_m..m, 0..n);
 }
 
-/// Register-blocked `out = a(m×k) · b(k×n)` via SSE2 — the 4×4 xmm
-/// version of [`matmul_avx2`], same per-cell k-ascending order.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: pointer access bounded by the debug-asserted m*k/k*n/m*n shapes;
-// the vector body touches only full 4×4 tiles (i + 4 <= m, j + 4 <= n).
-#[target_feature(enable = "sse2")]
-pub unsafe fn matmul_sse2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let op = out.as_mut_ptr();
-    let full_m = m / 4 * 4;
-    let full_n = n / 4 * 4;
-    // Column strips outer, as in [`matmul_avx2`].
-    let mut j = 0;
-    while j < full_n {
-        let mut i = 0;
-        while i < full_m {
-            let mut c00 = _mm_setzero_pd();
-            let mut c01 = _mm_setzero_pd();
-            let mut c10 = _mm_setzero_pd();
-            let mut c11 = _mm_setzero_pd();
-            let mut c20 = _mm_setzero_pd();
-            let mut c21 = _mm_setzero_pd();
-            let mut c30 = _mm_setzero_pd();
-            let mut c31 = _mm_setzero_pd();
-            for kk in 0..k {
-                let b0 = _mm_loadu_pd(bp.add(kk * n + j));
-                let b1 = _mm_loadu_pd(bp.add(kk * n + j + 2));
-                let a0 = _mm_set1_pd(*ap.add(i * k + kk));
-                c00 = _mm_add_pd(c00, _mm_mul_pd(a0, b0));
-                c01 = _mm_add_pd(c01, _mm_mul_pd(a0, b1));
-                let a1 = _mm_set1_pd(*ap.add((i + 1) * k + kk));
-                c10 = _mm_add_pd(c10, _mm_mul_pd(a1, b0));
-                c11 = _mm_add_pd(c11, _mm_mul_pd(a1, b1));
-                let a2 = _mm_set1_pd(*ap.add((i + 2) * k + kk));
-                c20 = _mm_add_pd(c20, _mm_mul_pd(a2, b0));
-                c21 = _mm_add_pd(c21, _mm_mul_pd(a2, b1));
-                let a3 = _mm_set1_pd(*ap.add((i + 3) * k + kk));
-                c30 = _mm_add_pd(c30, _mm_mul_pd(a3, b0));
-                c31 = _mm_add_pd(c31, _mm_mul_pd(a3, b1));
-            }
-            _mm_storeu_pd(op.add(i * n + j), c00);
-            _mm_storeu_pd(op.add(i * n + j + 2), c01);
-            _mm_storeu_pd(op.add((i + 1) * n + j), c10);
-            _mm_storeu_pd(op.add((i + 1) * n + j + 2), c11);
-            _mm_storeu_pd(op.add((i + 2) * n + j), c20);
-            _mm_storeu_pd(op.add((i + 2) * n + j + 2), c21);
-            _mm_storeu_pd(op.add((i + 3) * n + j), c30);
-            _mm_storeu_pd(op.add((i + 3) * n + j + 2), c31);
-            i += 4;
-        }
-        j += 4;
-    }
-    matmul_cells(a, k, b, n, out, 0..full_m, full_n..n);
-    matmul_cells(a, k, b, n, out, full_m..m, 0..n);
-}
-
 /// Scalar remainder cells for the register-blocked matmuls: the same
 /// per-cell single-accumulator k-ascending chain the vector tiles use,
 /// just one cell at a time.
@@ -812,8 +396,9 @@ fn matmul_cells(
 /// k-ascending order.
 ///
 /// # Safety
-/// The CPU must support AVX2 ([`has_avx2`]).
-// SAFETY: pointer access bounded by the debug-asserted m*k/k*n/m*n shapes;
+/// Same as [`matmul_avx2`]: AVX2, `a.len() == m·k`, `b.len() == k·n` and
+/// `out.len() == m·n` ([`super::matmul_f32`] asserts the shapes first).
+// SAFETY: accesses stay inside the caller-guaranteed m*k/k*n/m*n shapes;
 // the vector body touches only full 4×16 tiles (i + 4 <= m, j + 16 <= n).
 #[target_feature(enable = "avx2")]
 pub unsafe fn matmul_f32_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
@@ -864,67 +449,6 @@ pub unsafe fn matmul_f32_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize
             i += 4;
         }
         j += 16;
-    }
-    matmul_cells_f32(a, k, b, n, out, 0..full_m, full_n..n);
-    matmul_cells_f32(a, k, b, n, out, full_m..m, 0..n);
-}
-
-/// Register-blocked `out = a(m×k) · b(k×n)` (f32) via SSE2 — the 4×8
-/// xmm version of [`matmul_f32_avx2`], same per-cell k-ascending order.
-///
-/// # Safety
-/// The CPU must support SSE2 ([`has_sse2`]; x86_64 baseline).
-// SAFETY: pointer access bounded by the debug-asserted m*k/k*n/m*n shapes;
-// the vector body touches only full 4×8 tiles (i + 4 <= m, j + 8 <= n).
-#[target_feature(enable = "sse2")]
-pub unsafe fn matmul_f32_sse2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let op = out.as_mut_ptr();
-    let full_m = m / 4 * 4;
-    let full_n = n / 8 * 8;
-    // Column strips outer, as in [`matmul_avx2`].
-    let mut j = 0;
-    while j < full_n {
-        let mut i = 0;
-        while i < full_m {
-            let mut c00 = _mm_setzero_ps();
-            let mut c01 = _mm_setzero_ps();
-            let mut c10 = _mm_setzero_ps();
-            let mut c11 = _mm_setzero_ps();
-            let mut c20 = _mm_setzero_ps();
-            let mut c21 = _mm_setzero_ps();
-            let mut c30 = _mm_setzero_ps();
-            let mut c31 = _mm_setzero_ps();
-            for kk in 0..k {
-                let b0 = _mm_loadu_ps(bp.add(kk * n + j));
-                let b1 = _mm_loadu_ps(bp.add(kk * n + j + 4));
-                let a0 = _mm_set1_ps(*ap.add(i * k + kk));
-                c00 = _mm_add_ps(c00, _mm_mul_ps(a0, b0));
-                c01 = _mm_add_ps(c01, _mm_mul_ps(a0, b1));
-                let a1 = _mm_set1_ps(*ap.add((i + 1) * k + kk));
-                c10 = _mm_add_ps(c10, _mm_mul_ps(a1, b0));
-                c11 = _mm_add_ps(c11, _mm_mul_ps(a1, b1));
-                let a2 = _mm_set1_ps(*ap.add((i + 2) * k + kk));
-                c20 = _mm_add_ps(c20, _mm_mul_ps(a2, b0));
-                c21 = _mm_add_ps(c21, _mm_mul_ps(a2, b1));
-                let a3 = _mm_set1_ps(*ap.add((i + 3) * k + kk));
-                c30 = _mm_add_ps(c30, _mm_mul_ps(a3, b0));
-                c31 = _mm_add_ps(c31, _mm_mul_ps(a3, b1));
-            }
-            _mm_storeu_ps(op.add(i * n + j), c00);
-            _mm_storeu_ps(op.add(i * n + j + 4), c01);
-            _mm_storeu_ps(op.add((i + 1) * n + j), c10);
-            _mm_storeu_ps(op.add((i + 1) * n + j + 4), c11);
-            _mm_storeu_ps(op.add((i + 2) * n + j), c20);
-            _mm_storeu_ps(op.add((i + 2) * n + j + 4), c21);
-            _mm_storeu_ps(op.add((i + 3) * n + j), c30);
-            _mm_storeu_ps(op.add((i + 3) * n + j + 4), c31);
-            i += 4;
-        }
-        j += 8;
     }
     matmul_cells_f32(a, k, b, n, out, 0..full_m, full_n..n);
     matmul_cells_f32(a, k, b, n, out, full_m..m, 0..n);

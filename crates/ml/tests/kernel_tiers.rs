@@ -1,7 +1,7 @@
 //! Cross-implementation bit-identity proptests for the kernel tiers.
 //!
 //! The SIMD tier's determinism story rests on one claim: the portable
-//! [`lanes8`] reference and the AVX2/SSE2 [`x86`] encodings produce the
+//! [`lanes8`] reference and the AVX2 [`x86`] encodings produce the
 //! same bits on every input, at every length straddling the 8-lane
 //! boundary. These tests drive all reachable implementations against
 //! each other with random lengths and values, plus the dispatcher in
@@ -92,20 +92,11 @@ fn reducing_kernels_bit_identical_across_simd_encodings() {
         let dot_ref = lanes8::dot(&a, &b);
         let sq_ref = lanes8::sq_dist(&a, &b);
         #[cfg(target_arch = "x86_64")]
-        {
-            if x86::has_avx2() {
-                // SAFETY: AVX2 support was verified at runtime just above.
-                unsafe {
-                    assert_eq!(x86::dot_avx2(&a, &b).to_bits(), dot_ref.to_bits(), "n={n}");
-                    assert_eq!(x86::sq_dist_avx2(&a, &b).to_bits(), sq_ref.to_bits(), "n={n}");
-                }
-            }
-            if x86::has_sse2() {
-                // SAFETY: SSE2 support was verified at runtime just above.
-                unsafe {
-                    assert_eq!(x86::dot_sse2(&a, &b).to_bits(), dot_ref.to_bits(), "n={n}");
-                    assert_eq!(x86::sq_dist_sse2(&a, &b).to_bits(), sq_ref.to_bits(), "n={n}");
-                }
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            unsafe {
+                assert_eq!(x86::dot_avx2(&a, &b).to_bits(), dot_ref.to_bits(), "n={n}");
+                assert_eq!(x86::sq_dist_avx2(&a, &b).to_bits(), sq_ref.to_bits(), "n={n}");
             }
         }
         let af = vec_f32(n, li as u64 + 1);
@@ -113,78 +104,11 @@ fn reducing_kernels_bit_identical_across_simd_encodings() {
         let dotf_ref = lanes8::dot_f32(&af, &bf);
         let sqf_ref = lanes8::sq_dist_f32(&af, &bf);
         #[cfg(target_arch = "x86_64")]
-        {
-            if x86::has_avx2() {
-                // SAFETY: AVX2 support was verified at runtime just above.
-                unsafe {
-                    assert_eq!(x86::dot_f32_avx2(&af, &bf).to_bits(), dotf_ref.to_bits());
-                    assert_eq!(x86::sq_dist_f32_avx2(&af, &bf).to_bits(), sqf_ref.to_bits());
-                }
-            }
-            if x86::has_sse2() {
-                // SAFETY: SSE2 support was verified at runtime just above.
-                unsafe {
-                    assert_eq!(x86::dot_f32_sse2(&af, &bf).to_bits(), dotf_ref.to_bits());
-                    assert_eq!(x86::sq_dist_f32_sse2(&af, &bf).to_bits(), sqf_ref.to_bits());
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn elementwise_kernels_bit_identical_across_simd_encodings() {
-    for (li, &n) in LENS.iter().enumerate() {
-        let x = vec_f64(n, li as u64 + 7);
-        let y0 = vec_f64(n, li as u64 + 207);
-        let mut y_ref = y0.clone();
-        lanes8::axpy(0.37, &x, &mut y_ref);
-        lanes8::scale_axpy(0.9, &mut y_ref, -0.21, &x);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if x86::has_avx2() {
-                let mut y = y0.clone();
-                // SAFETY: AVX2 support was verified at runtime just above.
-                unsafe {
-                    x86::axpy_avx2(0.37, &x, &mut y);
-                    x86::scale_axpy_avx2(0.9, &mut y, -0.21, &x);
-                }
-                assert!(y.iter().zip(&y_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
-            if x86::has_sse2() {
-                let mut y = y0.clone();
-                // SAFETY: SSE2 support was verified at runtime just above.
-                unsafe {
-                    x86::axpy_sse2(0.37, &x, &mut y);
-                    x86::scale_axpy_sse2(0.9, &mut y, -0.21, &x);
-                }
-                assert!(y.iter().zip(&y_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
-        }
-        let xf = vec_f32(n, li as u64 + 7);
-        let yf0 = vec_f32(n, li as u64 + 207);
-        let mut yf_ref = yf0.clone();
-        lanes8::axpy_f32(0.37, &xf, &mut yf_ref);
-        lanes8::scale_axpy_f32(0.9, &mut yf_ref, -0.21, &xf);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if x86::has_avx2() {
-                let mut y = yf0.clone();
-                // SAFETY: AVX2 support was verified at runtime just above.
-                unsafe {
-                    x86::axpy_f32_avx2(0.37, &xf, &mut y);
-                    x86::scale_axpy_f32_avx2(0.9, &mut y, -0.21, &xf);
-                }
-                assert!(y.iter().zip(&yf_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
-            if x86::has_sse2() {
-                let mut y = yf0.clone();
-                // SAFETY: SSE2 support was verified at runtime just above.
-                unsafe {
-                    x86::axpy_f32_sse2(0.37, &xf, &mut y);
-                    x86::scale_axpy_f32_sse2(0.9, &mut y, -0.21, &xf);
-                }
-                assert!(y.iter().zip(&yf_ref).all(|(a, b)| a.to_bits() == b.to_bits()));
+        if x86::has_avx2() {
+            // SAFETY: AVX2 support was verified at runtime just above.
+            unsafe {
+                assert_eq!(x86::dot_f32_avx2(&af, &bf).to_bits(), dotf_ref.to_bits());
+                assert_eq!(x86::sq_dist_f32_avx2(&af, &bf).to_bits(), sqf_ref.to_bits());
             }
         }
     }

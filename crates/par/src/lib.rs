@@ -349,15 +349,32 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The worker-slot budget is process-global, so a test that must see
+    /// a fan-out win free slots cannot share the process with tests that
+    /// hold them. Those tests take this lock exclusively; every other test
+    /// takes it shared, before any other lock.
+    static BUDGET: RwLock<()> = RwLock::new(());
+
+    fn shared_budget() -> RwLockReadGuard<'static, ()> {
+        BUDGET.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn exclusive_budget() -> RwLockWriteGuard<'static, ()> {
+        BUDGET.write().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn preserves_input_order() {
+        let _budget = shared_budget();
         let out = with_threads(4, || par_map((0..100).collect::<Vec<i64>>(), |x| x * x));
         assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<i64>>());
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
+        let _budget = shared_budget();
         let items: Vec<usize> = (0..57).collect();
         let seq = with_threads(1, || par_map(items.clone(), |x| x.wrapping_mul(0x9E3779B9)));
         let par = with_threads(8, || par_map(items, |x| x.wrapping_mul(0x9E3779B9)));
@@ -366,12 +383,14 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _budget = shared_budget();
         assert_eq!(par_map(Vec::<u8>::new(), |x| x), Vec::<u8>::new());
         assert_eq!(par_map(vec![7], |x: i32| x + 1), vec![8]);
     }
 
     #[test]
     fn actually_runs_on_multiple_threads() {
+        let _budget = exclusive_budget();
         let main_thread = std::thread::current().id();
         let saw_other = AtomicBool::new(false);
         with_threads(4, || {
@@ -389,6 +408,7 @@ mod tests {
 
     #[test]
     fn one_thread_stays_on_caller() {
+        let _budget = shared_budget();
         let main_thread = std::thread::current().id();
         with_threads(1, || {
             par_map((0..16).collect::<Vec<usize>>(), |x| {
@@ -400,6 +420,7 @@ mod tests {
 
     #[test]
     fn nested_fanout_respects_budget() {
+        let _budget = shared_budget();
         // Outer uses the budget; inner calls degrade gracefully and still
         // produce correct, ordered output.
         let out = with_threads(2, || {
@@ -414,6 +435,7 @@ mod tests {
 
     #[test]
     fn with_threads_restores_previous_value() {
+        let _budget = shared_budget();
         // All assertions nest inside a local override so concurrent tests
         // touching the global override cannot interfere.
         with_threads(3, || {
@@ -425,6 +447,7 @@ mod tests {
 
     #[test]
     fn local_override_wins_over_global() {
+        let _budget = shared_budget();
         // The global override is process-wide shared state; only observe it
         // from under a local override to stay race-free with other tests.
         with_threads(6, || {
@@ -436,6 +459,7 @@ mod tests {
 
     #[test]
     fn with_state_initializes_once_per_worker() {
+        let _budget = shared_budget();
         let inits = AtomicUsize::new(0);
         let out = with_threads(4, || {
             par_map_with(
@@ -457,6 +481,7 @@ mod tests {
 
     #[test]
     fn with_state_sequential_shares_one_state() {
+        let _budget = shared_budget();
         // At one thread the single state threads through every item in
         // order, so the tally equals the item index.
         let out = with_threads(1, || {
@@ -475,6 +500,7 @@ mod tests {
 
     #[test]
     fn with_state_skips_init_on_empty_input() {
+        let _budget = shared_budget();
         let inits = AtomicUsize::new(0);
         let out = par_map_with(Vec::<u8>::new(), || inits.fetch_add(1, Ordering::SeqCst), |_, x| x);
         assert_eq!(out, Vec::<u8>::new());
@@ -483,6 +509,7 @@ mod tests {
 
     #[test]
     fn indexed_and_reduce_helpers() {
+        let _budget = shared_budget();
         let doubled = with_threads(4, || par_map_indexed(10, |i| i * 2));
         assert_eq!(doubled, (0..10).map(|i| i * 2).collect::<Vec<usize>>());
         let total =
@@ -496,9 +523,8 @@ mod tests {
 
     #[test]
     fn utilization_metrics_recorded_when_enabled() {
+        let _budget = exclusive_budget();
         let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        // Other tests in this binary may fan out concurrently and also
-        // record, so assert growth rather than exact values.
         comet_obs::reset();
         comet_obs::set_enabled(true);
         with_threads(4, || {
@@ -516,6 +542,7 @@ mod tests {
 
     #[test]
     fn metrics_disabled_records_nothing_from_fanout() {
+        let _budget = shared_budget();
         let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         // The default state: fan-outs must not touch the registry.
         let before = comet_obs::snapshot().counter("par.fanouts");
@@ -526,6 +553,7 @@ mod tests {
 
     #[test]
     fn catch_turns_panics_into_item_errors() {
+        let _budget = shared_budget();
         let out = with_threads(4, || {
             par_map_catch((0..32).collect::<Vec<usize>>(), |x| {
                 if x % 5 == 0 {
@@ -547,12 +575,14 @@ mod tests {
 
     #[test]
     fn catch_handles_non_string_payloads() {
+        let _budget = shared_budget();
         let out = par_map_catch(vec![0u8], |_| -> u8 { std::panic::panic_any(42i32) });
         assert_eq!(out, vec![Err("non-string panic payload".to_string())]);
     }
 
     #[test]
     fn catch_does_not_leak_worker_slots() {
+        let _budget = shared_budget();
         // Each fan-out reserves up to 3 extra slots at 4 threads; if a
         // caught panic leaked its reservation, 64 panicking fan-outs would
         // pin ACTIVE_WORKERS near 192. Concurrent tests in this binary may
@@ -580,6 +610,7 @@ mod tests {
             values in proptest::prop::collection::vec(0i64..1_000, 1..40),
             modulus in 2i64..7,
         ) {
+            let _budget = shared_budget();
             let run = |threads: usize| {
                 with_threads(threads, || {
                     par_map_catch(values.clone(), |v| {
@@ -607,6 +638,7 @@ mod tests {
 
     #[test]
     fn occupied_slots_obey_the_shared_budget_and_release_on_drop() {
+        let _budget = shared_budget();
         // ACTIVE_WORKERS is process-global and other tests' fan-outs run
         // concurrently, so assert invariants that hold regardless of
         // outside activity rather than exact global counts.
@@ -633,6 +665,7 @@ mod tests {
 
     #[test]
     fn occupying_an_exhausted_budget_grants_zero() {
+        let _budget = shared_budget();
         with_threads(1, || {
             // Cap 1 = the caller itself; nothing is ever free to occupy
             // (free = cap - current - 1 saturates at zero no matter what
@@ -645,6 +678,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _budget = shared_budget();
         let result = std::panic::catch_unwind(|| {
             with_threads(4, || {
                 par_map((0..32).collect::<Vec<usize>>(), |x| {
