@@ -1,10 +1,9 @@
-//! Criterion benchmarks for the parallel estimation engine: candidate
-//! fan-out at different worker counts and the evaluation cache's hit path.
+//! Criterion benchmark for the parallel estimation engine: candidate
+//! fan-out at different worker counts.
 //!
 //! On a single-core host the thread sweep mostly measures fan-out overhead
-//! (it should stay small); the cold-vs-warm pair measures what the cache
-//! saves — a warm evaluation skips featurization, training, and prediction
-//! entirely.
+//! (it should stay small). Cache effects are not timed here: `perf` reports
+//! them as `core.eval_cache.hit_rate` and `ml.block_cache.hit_rate`.
 
 use comet_core::{CleaningEnvironment, Estimator, Polluter};
 use comet_datasets::Dataset;
@@ -67,28 +66,9 @@ fn bench_estimate_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cache's two paths: a cold evaluation (fingerprint + full retrain)
-/// against a warm one (fingerprint + lookup only).
-fn bench_eval_cache(c: &mut Criterion) {
-    let env = build_env();
-    let mut group = c.benchmark_group("parallel/evaluate");
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            env.clear_eval_cache();
-            black_box(env.evaluate().unwrap());
-        })
-    });
-    env.clear_eval_cache();
-    env.evaluate().unwrap();
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(env.evaluate().unwrap()));
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).without_plots();
-    targets = bench_estimate_threads, bench_eval_cache
+    targets = bench_estimate_threads
 }
 criterion_main!(benches);

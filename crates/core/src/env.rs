@@ -16,7 +16,7 @@ use comet_frame::{Column, DataFrame, FrameError};
 use comet_jenga::{ErrorType, GroundTruth, Provenance};
 use comet_ml::{
     build_f32, scratch, Algorithm, FeatureCache, FeatureCacheStats, Featurizer, HyperParams,
-    MatrixF32, Metric, RandomSearch,
+    Matrix, MatrixF32, Metric, RandomSearch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,15 +106,19 @@ const EVAL_CACHE_CAP: usize = 65_536;
 /// spaces must not collide.
 const F32_PROBE_SALT: u64 = 0xF32C_A11E_D001_ABCD;
 
+/// Train and test feature matrices (pooled scratch buffers) and their labels.
+type Featurized = (Matrix, Matrix, Vec<u32>, Vec<u32>);
+
 /// Memoized `(train, test) -> score` evaluations, keyed by frame content
 /// fingerprints. Interior-mutable so `evaluate_frames` can stay `&self`
 /// (and therefore usable from worker threads); `Mutex` rather than
-/// `RefCell` keeps [`CleaningEnvironment`] `Sync`. The `Arc` makes the
-/// cache *shared between clones* of an environment: the bench grid clones
-/// one prepared base per strategy and repetition, and every clone trains
-/// the identical model, so evaluations of content-identical states are
-/// interchangeable across the whole family.
-#[derive(Debug, Default)]
+/// `RefCell` keeps [`CleaningEnvironment`] `Sync`.
+///
+/// Clones share one cache through the `Arc`: the bench grid clones one
+/// prepared base per strategy and repetition, and every clone trains the
+/// identical model, so a score computed by any member of the clone family
+/// answers the same content-keyed lookup in all of them.
+#[derive(Debug, Default, Clone)]
 struct EvalCache {
     inner: Arc<Mutex<EvalCacheInner>>,
 }
@@ -183,19 +187,11 @@ impl EvalCache {
     }
 }
 
-impl Clone for EvalCache {
-    /// Clones share one cache: entries are keyed by frame *content* and
-    /// the clone trains the identical model, so a score computed by any
-    /// member of the clone family answers the same lookup in all of them.
-    fn clone(&self) -> Self {
-        EvalCache { inner: Arc::clone(&self.inner) }
-    }
-}
-
 /// Memoized detection reports for the environment's *current* frames.
 /// Detection is pure in the frame contents and the detector config, so the
-/// entry is keyed by both and shared between clones like [`EvalCache`].
-#[derive(Debug, Default)]
+/// entry is keyed by both. Clones share the memo through the `Arc`, like
+/// [`EvalCache`].
+#[derive(Debug, Default, Clone)]
 struct DetectMemo {
     inner: Arc<Mutex<Option<DetectMemoEntry>>>,
 }
@@ -206,12 +202,6 @@ struct DetectMemoEntry {
     config: DetectorConfig,
     train: DetectionReport,
     test: DetectionReport,
-}
-
-impl Clone for DetectMemo {
-    fn clone(&self) -> Self {
-        DetectMemo { inner: Arc::clone(&self.inner) }
-    }
 }
 
 /// The simulated world: dirty data + hidden ground truth + a fixed model.
@@ -235,12 +225,9 @@ pub struct CleaningEnvironment {
     /// (transform params, column content fingerprint), so only the column a
     /// candidate pollution actually touched is re-featurized.
     feat_cache: FeatureCache,
-    /// When false, `evaluate_frames` featurizes from scratch (the pre-cache
-    /// path, kept for cold/warm benchmarking and as a kill switch).
-    feat_caching: bool,
     /// When true, `evaluate_frames_probe` trains the model's f32 twin
-    /// (where one exists) instead of the full f64 model. Per-handle like
-    /// `feat_caching`; the caches stay shared (probe entries are salted).
+    /// (where one exists) instead of the full f64 model. Per-handle; the
+    /// caches stay shared (probe entries are salted).
     f32_probes: bool,
     /// Detection-seeded mode (DESIGN.md §13): when set, candidate pairs
     /// come from the detector ensemble scanning the dirty frames and
@@ -314,7 +301,6 @@ impl CleaningEnvironment {
             eval_seed,
             eval_cache: EvalCache::default(),
             feat_cache,
-            feat_caching: true,
             f32_probes: false,
             detect: None,
             detect_memo: DetectMemo::default(),
@@ -373,20 +359,7 @@ impl CleaningEnvironment {
         if let Some(score) = self.eval_cache.lookup(key) {
             return Ok(score);
         }
-        // Candidate pollutions mutate one column, so with the block cache
-        // warm, fit + transform reduce to one column's stats scan and two
-        // column-block computations; everything else is splices of cached
-        // blocks into pooled buffers.
-        let cache = if self.feat_caching { Some(&self.feat_cache) } else { None };
-        let featurizer = match cache {
-            Some(cache) => Featurizer::fit_cached(train, cache)?,
-            None => Featurizer::fit(train)?,
-        };
-        let dim = featurizer.dim();
-        let xtr = featurizer.transform_with(train, cache, scratch::take(train.nrows() * dim))?;
-        let xte = featurizer.transform_with(test, cache, scratch::take(test.nrows() * dim))?;
-        let ytr = train.label_codes()?;
-        let yte = test.label_codes()?;
+        let (xtr, xte, ytr, yte) = self.featurize(train, test)?;
         let mut model = self.model.params.build();
         let mut rng = StdRng::seed_from_u64(self.eval_seed);
         model.fit(&xtr, &ytr, self.n_classes, &mut rng);
@@ -395,6 +368,23 @@ impl CleaningEnvironment {
         scratch::put_matrix(xte);
         self.eval_cache.insert(key, score);
         Ok(score)
+    }
+
+    /// Featurize a frame pair through the block cache: fit on `train`,
+    /// transform train then test into pooled scratch buffers, then read
+    /// both label vectors. Callers return the matrices to the scratch pool.
+    ///
+    /// Candidate pollutions mutate one column, so with the block cache
+    /// warm, fit + transform reduce to one column's stats scan and two
+    /// column-block computations; everything else is splices of cached
+    /// blocks into pooled buffers.
+    fn featurize(&self, train: &DataFrame, test: &DataFrame) -> Result<Featurized, EnvError> {
+        let cache = Some(&self.feat_cache);
+        let featurizer = Featurizer::fit_cached(train, &self.feat_cache)?;
+        let dim = featurizer.dim();
+        let xtr = featurizer.transform_with(train, cache, scratch::take(train.nrows() * dim))?;
+        let xte = featurizer.transform_with(test, cache, scratch::take(test.nrows() * dim))?;
+        Ok((xtr, xte, train.label_codes()?, test.label_codes()?))
     }
 
     /// `evaluate_frames` and its probe variant accept arbitrary caller
@@ -437,16 +427,7 @@ impl CleaningEnvironment {
         if let Some(score) = self.eval_cache.lookup(key) {
             return Ok(score);
         }
-        let cache = if self.feat_caching { Some(&self.feat_cache) } else { None };
-        let featurizer = match cache {
-            Some(cache) => Featurizer::fit_cached(train, cache)?,
-            None => Featurizer::fit(train)?,
-        };
-        let dim = featurizer.dim();
-        let xtr = featurizer.transform_with(train, cache, scratch::take(train.nrows() * dim))?;
-        let xte = featurizer.transform_with(test, cache, scratch::take(test.nrows() * dim))?;
-        let ytr = train.label_codes()?;
-        let yte = test.label_codes()?;
+        let (xtr, xte, ytr, yte) = self.featurize(train, test)?;
         // Featurization stays f64 (and cached); only the training matrices
         // narrow. The f64 buffers return to the scratch pool immediately.
         let xtr32 = MatrixF32::from_matrix(&xtr);
@@ -461,7 +442,7 @@ impl CleaningEnvironment {
     }
 
     /// Enable or disable f32 probe evaluations for this handle (clones
-    /// keep their own flag, exactly like `set_feature_caching`).
+    /// keep their own flag; the caches stay shared).
     pub fn set_f32_probes(&mut self, enabled: bool) {
         self.f32_probes = enabled;
     }
@@ -476,9 +457,10 @@ impl CleaningEnvironment {
         self.eval_cache.stats()
     }
 
-    /// Drop all cached evaluations and reset the counters (benchmarks use
-    /// this to compare cold against warm runs). The cache is shared with
-    /// every clone of this environment, so clearing affects all of them.
+    /// Drop all cached evaluations and reset the counters (tests and the
+    /// thread-sweep bench use this to force retraining). The cache is
+    /// shared with every clone of this environment, so clearing affects
+    /// all of them.
     pub fn clear_eval_cache(&self) {
         self.eval_cache.clear();
     }
@@ -508,24 +490,12 @@ impl CleaningEnvironment {
         self.feat_cache.clear();
     }
 
-    /// Enable or disable the featurization block cache for this handle
-    /// (clones keep their own flag; the underlying cache stays shared).
-    /// Benchmarks disable it to measure the pre-cache cold path.
-    pub fn set_feature_caching(&mut self, enabled: bool) {
-        self.feat_caching = enabled;
-    }
-
     /// Cap the feature-block cache's byte footprint (shared with all
     /// clones). Cold blocks are dropped, not spilled — they are derived
     /// data, cheaper to recompute from the (possibly spilled) segments
     /// than to round-trip through disk.
     pub fn set_feature_cache_budget(&self, bytes: usize) {
         self.feat_cache.set_block_byte_budget(bytes);
-    }
-
-    /// Whether the featurization block cache is in use.
-    pub fn feature_caching(&self) -> bool {
-        self.feat_caching
     }
 
     /// Evaluate the model on the current state.
@@ -690,66 +660,48 @@ impl CleaningEnvironment {
         preferred_test: &[usize],
         rng: &mut R,
     ) -> Result<(usize, usize), EnvError> {
-        if self.detect.is_some() {
-            return self.detect_clean_step(col, err, preferred_train, preferred_test, rng);
+        let detect = self.detect.is_some();
+        let mut pref_train = preferred_train.to_vec();
+        let mut pref_test = preferred_test.to_vec();
+        if detect {
+            // Detector-flagged rows extend the session's preference list;
+            // the reports are cloned out so the memo borrow ends here.
+            let (train_rep, test_rep) = self.detect_reports()?;
+            pref_train.extend(train_rep.flagged_rows_any(col));
+            pref_test.extend(test_rep.flagged_rows_any(col));
         }
+        // Each split's dirty rows are read just before that split is
+        // cleaned, so a spilled frame reloads each split's segments once.
+        let dirty_rows = |df: &DataFrame, gt: &GroundTruth, prov: &Provenance| {
+            if detect {
+                gt.dirty_rows(df, col)
+            } else {
+                Ok(prov.rows_with(col, Some(err)))
+            }
+        };
+        let rows = dirty_rows(&self.train, &self.gt_train, &self.prov_train)?;
         let cleaned_train = clean_split(
             &mut self.train,
             &self.gt_train,
             &mut self.prov_train,
             col,
-            err,
+            &rows,
             self.step_train,
-            preferred_train,
+            &pref_train,
             rng,
         )?;
+        let rows = dirty_rows(&self.test, &self.gt_test, &self.prov_test)?;
         let cleaned_test = clean_split(
             &mut self.test,
             &self.gt_test,
             &mut self.prov_test,
             col,
-            err,
-            self.step_test,
-            preferred_test,
-            rng,
-        )?;
-        Ok((cleaned_train, cleaned_test))
-    }
-
-    fn detect_clean_step<R: Rng>(
-        &mut self,
-        col: usize,
-        err: ErrorType,
-        preferred_train: &[usize],
-        preferred_test: &[usize],
-        rng: &mut R,
-    ) -> Result<(usize, usize), EnvError> {
-        // Detector-flagged rows extend the session's preference list; the
-        // reports are cloned out so the memo borrow ends before `&mut self`.
-        let (train_rep, test_rep) = self.detect_reports()?;
-        let mut pref_train = preferred_train.to_vec();
-        pref_train.extend(train_rep.flagged_rows_any(col));
-        let mut pref_test = preferred_test.to_vec();
-        pref_test.extend(test_rep.flagged_rows_any(col));
-        let cleaned_train = clean_split_any(
-            &mut self.train,
-            &self.gt_train,
-            &mut self.prov_train,
-            col,
-            self.step_train,
-            &pref_train,
-            rng,
-        )?;
-        let cleaned_test = clean_split_any(
-            &mut self.test,
-            &self.gt_test,
-            &mut self.prov_test,
-            col,
+            &rows,
             self.step_test,
             &pref_test,
             rng,
         )?;
-        if cleaned_train + cleaned_test == 0 {
+        if detect && cleaned_train + cleaned_test == 0 {
             self.detect_exhausted.insert((col, err));
         }
         Ok((cleaned_train, cleaned_test))
@@ -793,19 +745,19 @@ impl CleaningEnvironment {
     }
 }
 
-/// Clean up to `k` `err`-provenance cells of `col` in one split.
+/// Clean up to `k` of `dirty` (the split's ascending dirty rows of `col`)
+/// in one split: preferred rows first, the rest drawn at random.
 #[allow(clippy::too_many_arguments)]
 fn clean_split<R: Rng>(
     df: &mut DataFrame,
     gt: &GroundTruth,
     prov: &mut Provenance,
     col: usize,
-    err: ErrorType,
+    dirty: &[usize],
     k: usize,
     preferred: &[usize],
     rng: &mut R,
 ) -> Result<usize, EnvError> {
-    let dirty = prov.rows_with(col, Some(err));
     if dirty.is_empty() {
         return Ok(0);
     }
@@ -831,47 +783,6 @@ fn clean_split<R: Rng>(
     // Clear provenance for every chosen row: restoring may be a no-op for a
     // cell whose polluted value coincides with ground truth, but the cell is
     // clean either way.
-    for &r in &chosen {
-        prov.clear(col, r);
-    }
-    Ok(restored.len().max(chosen.len()))
-}
-
-/// Clean up to `k` ground-truth-dirty cells of `col` in one split,
-/// regardless of which family polluted them (detection mode: the cleaner
-/// sees a suspicious column, not a provenance label).
-fn clean_split_any<R: Rng>(
-    df: &mut DataFrame,
-    gt: &GroundTruth,
-    prov: &mut Provenance,
-    col: usize,
-    k: usize,
-    preferred: &[usize],
-    rng: &mut R,
-) -> Result<usize, EnvError> {
-    let dirty = gt.dirty_rows(df, col)?;
-    if dirty.is_empty() {
-        return Ok(0);
-    }
-    let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    for &p in preferred {
-        if chosen.len() == k {
-            break;
-        }
-        if dirty.binary_search(&p).is_ok() && !chosen.contains(&p) {
-            chosen.push(p);
-        }
-    }
-    if chosen.len() < k {
-        let mut rest: Vec<usize> = dirty.iter().copied().filter(|r| !chosen.contains(r)).collect();
-        let need = (k - chosen.len()).min(rest.len());
-        for i in 0..need {
-            let j = rng.gen_range(i..rest.len());
-            rest.swap(i, j);
-            chosen.push(rest[i]);
-        }
-    }
-    let restored = gt.restore(df, col, &chosen)?;
     for &r in &chosen {
         prov.clear(col, r);
     }
@@ -1021,25 +932,24 @@ mod tests {
     }
 
     #[test]
-    fn feature_caching_disabled_matches_cached_path() {
+    fn cached_evaluation_matches_uncached_reference() {
         let mut env = make_env(11);
-        env.clear_feature_cache();
-        env.set_feature_caching(false);
-        assert!(!env.feature_caching());
+        let mut rng = StdRng::seed_from_u64(0);
+        env.clean_step(0, ErrorType::MissingValues, &[], &[], &mut rng).unwrap();
         let before = env.feature_cache_stats();
-        let a = env.evaluate().unwrap();
-        let stats = env.feature_cache_stats();
-        // Counters describe the whole process run (construction warms the
-        // cache), so the disabled path is visible as a zero delta.
-        assert_eq!(stats.block_hits, before.block_hits);
-        assert_eq!(stats.block_misses, before.block_misses);
-        assert_eq!(stats.block_entries, 0);
-        // Re-enabling produces the identical score through the cached path.
-        env.set_feature_caching(true);
-        env.clear_eval_cache();
-        let b = env.evaluate().unwrap();
-        assert_eq!(a, b);
-        assert!(env.feature_cache_stats().block_misses > 0);
+        let cached = env.evaluate().unwrap();
+        // Construction warmed the cache, and the step touched one column.
+        assert!(env.feature_cache_stats().block_hits > before.block_hits);
+        // From scratch: no block cache, no scratch pool, no evaluation cache.
+        let featurizer = Featurizer::fit(env.train()).unwrap();
+        let xtr = featurizer.transform(env.train()).unwrap();
+        let xte = featurizer.transform(env.test()).unwrap();
+        let mut model = env.model().params.build();
+        let ytr = env.train().label_codes().unwrap();
+        model.fit(&xtr, &ytr, env.n_classes(), &mut StdRng::seed_from_u64(7));
+        let yte = env.test().label_codes().unwrap();
+        let reference = env.metric().eval(&yte, &model.predict(&xte), env.n_classes());
+        assert_eq!(cached.to_bits(), reference.to_bits());
     }
 
     #[test]
@@ -1230,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_clean_step_cleans_any_dirt_and_learns_false_positives() {
+    fn detection_mode_clean_step_cleans_any_dirt_and_learns_false_positives() {
         let mut env = make_env(23);
         env.enable_detection(DetectorConfig::default());
         let mut rng = StdRng::seed_from_u64(1);

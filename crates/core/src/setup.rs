@@ -11,7 +11,9 @@
 
 use crate::env::{CleaningEnvironment, EnvError};
 use crate::error::CometError;
-use comet_frame::{train_test_split, Cell, DataFrame, SplitOptions};
+use comet_frame::{
+    train_test_split, Cell, Column, ColumnBuilder, ColumnKind, DataFrame, FrameError, SplitOptions,
+};
 use comet_jenga::{ErrorType, GroundTruth, Provenance};
 use comet_ml::{Algorithm, Metric, RandomSearch};
 use rand::Rng;
@@ -56,7 +58,10 @@ pub fn derive_provenance(dirty: &DataFrame, gt: &GroundTruth) -> Result<Provenan
 /// provenance oracle is derived from the per-split diffs.
 ///
 /// With `clean == None` the data is treated as its own ground truth
-/// (evaluate-only use; no dirt, no candidates).
+/// (evaluate-only use; no dirt, no candidates). Otherwise the two frames
+/// must share a schema, and the clean frame's categorical codes are
+/// re-encoded onto the dirty frame's dictionaries (see
+/// [`align_dictionaries`]) so every code comparison names one label.
 ///
 /// `segment_rows` sets the column segment size for both frames (`0` =
 /// whole-column); the re-segmentation happens before the split so the
@@ -73,7 +78,7 @@ pub fn build_paired_env<R: Rng>(
     segment_rows: usize,
     rng: &mut R,
 ) -> Result<CleaningEnvironment, CometError> {
-    let dirty = dirty.resegment(segment_rows).map_err(EnvError::from)?;
+    let mut dirty = dirty.resegment(segment_rows).map_err(EnvError::from)?;
     let clean = match clean {
         Some(clean) => {
             if dirty.nrows() != clean.nrows() || dirty.ncols() != clean.ncols() {
@@ -86,6 +91,7 @@ pub fn build_paired_env<R: Rng>(
                     clean.ncols()
                 )));
             }
+            let clean = align_dictionaries(&mut dirty, clean)?;
             clean.resegment(segment_rows).map_err(EnvError::from)?
         }
         None => dirty.clone(),
@@ -112,6 +118,67 @@ pub fn build_paired_env<R: Rng>(
         eval_seed,
         rng,
     )?)
+}
+
+/// Refuse a clean frame whose schema differs from the dirty one's, naming
+/// the first differing column, then re-encode each clean categorical column
+/// (the label included) onto the dirty column's dictionary by label. A CSV
+/// numbers its categories in first-appearance order, so a pollution that
+/// changes which label comes first gives the two files different codes for
+/// the same label. A label only the clean frame has is appended to the
+/// dirty dictionary; dirty codes never change. Columns whose dictionaries
+/// already agree are left untouched.
+fn align_dictionaries(
+    dirty: &mut DataFrame,
+    mut clean: DataFrame,
+) -> Result<DataFrame, CometError> {
+    let fields = dirty.schema().fields().iter().zip(clean.schema().fields());
+    if let Some((col, (d, c))) = fields.enumerate().find(|(_, (d, c))| d != c) {
+        return Err(CometError::Invalid(format!(
+            "dirty and clean frames must have identical schemas: column {col} is {:?} \
+             ({} {:?}) in the dirty frame, {:?} ({} {:?}) in the clean frame",
+            d.name,
+            d.kind.name(),
+            d.role,
+            c.name,
+            c.kind.name(),
+            c.role
+        )));
+    }
+    for col in 0..dirty.ncols() {
+        let (d, c) = (dirty.column(col)?, clean.column(col)?);
+        if d.kind() != ColumnKind::Categorical || d.categories() == c.categories() {
+            continue;
+        }
+        let mut dict = d.categories().to_vec();
+        let to_dirty: Vec<u32> = c
+            .categories()
+            .iter()
+            .map(|label| match dict.iter().position(|l| l == label) {
+                Some(code) => code as u32,
+                None => {
+                    dict.push(label.clone());
+                    dict.len() as u32 - 1
+                }
+            })
+            .collect();
+        let grown = dict.len() > d.categories().len();
+        let recode = |column: &Column, map: &dyn Fn(u32) -> u32| -> Result<Column, FrameError> {
+            let mut out =
+                ColumnBuilder::categorical(column.name(), dict.clone(), column.segment_rows());
+            for row in 0..column.len() {
+                out.push_cat(column.cat(row).map(map))?;
+            }
+            Ok(out.finish())
+        };
+        let clean_col = recode(c, &|code| to_dirty[code as usize])?;
+        let dirty_col = if grown { Some(recode(d, &|code| code)?) } else { None };
+        clean.replace_column(col, clean_col)?;
+        if let Some(dirty_col) = dirty_col {
+            dirty.replace_column(col, dirty_col)?;
+        }
+    }
+    Ok(clean)
 }
 
 #[cfg(test)]
@@ -213,5 +280,85 @@ mod tests {
         )
         .unwrap();
         assert!(env.candidate_pairs(&ErrorType::ALL).is_empty());
+    }
+
+    /// A frame with a numeric feature, a categorical feature `c` holding
+    /// `labels`, and a label column, each dictionary numbered in
+    /// first-appearance order the way the CSV reader numbers it.
+    fn csv_like(labels: &[&str]) -> DataFrame {
+        let mut dict: Vec<String> = Vec::new();
+        let codes = labels
+            .iter()
+            .map(|&l| match dict.iter().position(|d| d == l) {
+                Some(code) => code as u32,
+                None => {
+                    dict.push(l.to_string());
+                    dict.len() as u32 - 1
+                }
+            })
+            .collect();
+        let n = labels.len();
+        let x = (0..n).map(|i| if i % 2 == 0 { -2.0 } else { 2.0 } + i as f64 * 0.01).collect();
+        let y = (0..n).map(|i| (i % 2) as u32).collect();
+        DataFrame::new(
+            vec![
+                Column::numeric("x", x),
+                Column::categorical("c", codes, dict).unwrap(),
+                Column::categorical("y", y, vec!["no".into(), "yes".into()]).unwrap(),
+            ],
+            Some("y"),
+        )
+        .unwrap()
+    }
+
+    fn paired(dirty: DataFrame, clean: DataFrame) -> Result<CleaningEnvironment, CometError> {
+        let mut rng = StdRng::seed_from_u64(3);
+        let search = RandomSearch { n_samples: 1, ..RandomSearch::default() };
+        build_paired_env(dirty, Some(clean), Algorithm::Knn, 0.05, search, 7, 0, &mut rng)
+    }
+
+    fn alternating(n: usize) -> Vec<&'static str> {
+        (0..n).map(|i| if i % 2 == 0 { "a" } else { "b" }).collect()
+    }
+
+    #[test]
+    fn paired_env_compares_categories_by_label_after_a_first_row_shift() {
+        let clean = alternating(40);
+        let mut dirty = clean.clone();
+        for row in [0, 6, 12] {
+            dirty[row] = "b";
+        }
+        // Row 0's shift makes the dirty dictionary [b, a] against the clean
+        // [a, b]: by code, every unshifted cell would look dirty.
+        let env = paired(csv_like(&dirty), csv_like(&clean)).unwrap();
+        assert_eq!(env.total_dirty().unwrap(), 3);
+    }
+
+    #[test]
+    fn clean_only_label_joins_the_dirty_dictionary_and_is_restorable() {
+        let mut clean = alternating(40);
+        clean[3] = "c";
+        let mut dirty = clean.clone();
+        dirty[3] = "b";
+        let mut env = paired(csv_like(&dirty), csv_like(&clean)).unwrap();
+        assert_eq!(env.total_dirty().unwrap(), 1);
+        let mut rng = StdRng::seed_from_u64(0);
+        let (train, test) =
+            env.clean_step(1, ErrorType::CategoricalShift, &[], &[], &mut rng).unwrap();
+        assert_eq!(train + test, 1);
+        assert_eq!(env.total_dirty().unwrap(), 0);
+    }
+
+    #[test]
+    fn schema_mismatch_is_a_typed_error_naming_the_column() {
+        let clean = csv_like(&alternating(40));
+        let mut columns = clean.columns().to_vec();
+        columns[1] = columns[1].clone().with_name("kind");
+        let dirty = DataFrame::new(columns, Some("y")).unwrap();
+        let err = paired(dirty, clean).unwrap_err();
+        assert!(
+            matches!(&err, CometError::Invalid(m) if m.contains("\"kind\"") && m.contains("\"c\"")),
+            "{err}"
+        );
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::column::Column;
-use crate::segment::{SegData, SegPayload, SegmentCore, DEFAULT_SEGMENT_ROWS};
+use crate::segment::{SegmentSealer, DEFAULT_SEGMENT_ROWS};
 use crate::{Cell, ColumnKind, DataFrame, FieldMeta, FrameError, Result, Role, Schema};
 
 /// Streaming builder for a single [`Column`]: cells are pushed one at a
@@ -26,12 +26,7 @@ use crate::{Cell, ColumnKind, DataFrame, FieldMeta, FrameError, Result, Role, Sc
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     name: String,
-    kind: ColumnKind,
-    seg_rows: usize,
-    nums: Vec<f64>,
-    cats: Vec<u32>,
-    valid: Vec<bool>,
-    segments: Vec<Arc<SegmentCore>>,
+    sealer: SegmentSealer,
     len: usize,
     dict: Vec<String>,
     dict_index: BTreeMap<String, u32>,
@@ -45,12 +40,7 @@ impl ColumnBuilder {
             dict.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect::<BTreeMap<_, _>>();
         ColumnBuilder {
             name,
-            kind,
-            seg_rows,
-            nums: Vec::new(),
-            cats: Vec::new(),
-            valid: Vec::new(),
-            segments: Vec::new(),
+            sealer: SegmentSealer::new(kind, seg_rows, 0),
             len: 0,
             dict,
             dict_index,
@@ -86,41 +76,25 @@ impl ColumnBuilder {
     }
 
     fn mismatch(&self, got: &'static str) -> FrameError {
-        FrameError::TypeMismatch { column: self.name.clone(), expected: self.kind.name(), got }
-    }
-
-    fn push_slot(&mut self, valid: bool) {
-        self.valid.push(valid);
-        self.len += 1;
-        if self.valid.len() == self.seg_rows {
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        let valid = std::mem::take(&mut self.valid);
-        let data = match self.kind {
-            ColumnKind::Numeric => SegData::Num(std::mem::take(&mut self.nums)),
-            ColumnKind::Categorical => SegData::Cat(std::mem::take(&mut self.cats)),
-        };
-        self.segments.push(SegmentCore::new_resident(SegPayload { data, valid }, self.kind));
+        let expected = self.sealer.kind().name();
+        FrameError::TypeMismatch { column: self.name.clone(), expected, got }
     }
 
     /// Push a numeric value (`None` = missing). Errors on categorical
     /// columns.
     pub fn push_num(&mut self, value: Option<f64>) -> Result<()> {
-        if self.kind != ColumnKind::Numeric {
+        if self.sealer.kind() != ColumnKind::Numeric {
             return Err(self.mismatch("numeric"));
         }
-        self.nums.push(value.unwrap_or(0.0));
-        self.push_slot(value.is_some());
+        self.sealer.push_num(value.unwrap_or(0.0), value.is_some());
+        self.len += 1;
         Ok(())
     }
 
     /// Push a categorical code (`None` = missing), validated against the
     /// current dictionary. Errors on numeric columns.
     pub fn push_cat(&mut self, code: Option<u32>) -> Result<()> {
-        if self.kind != ColumnKind::Categorical {
+        if self.sealer.kind() != ColumnKind::Categorical {
             return Err(self.mismatch("categorical"));
         }
         if let Some(code) = code {
@@ -128,15 +102,15 @@ impl ColumnBuilder {
                 return Err(FrameError::UnknownCategory { column: self.name.clone(), code });
             }
         }
-        self.cats.push(code.unwrap_or(0));
-        self.push_slot(code.is_some());
+        self.sealer.push_cat(code.unwrap_or(0), code.is_some());
+        self.len += 1;
         Ok(())
     }
 
     /// Push a categorical value by label, interning it into the dictionary
     /// (open-dictionary builders only).
     pub fn push_label(&mut self, label: &str) -> Result<()> {
-        if self.kind != ColumnKind::Categorical {
+        if self.sealer.kind() != ColumnKind::Categorical {
             return Err(self.mismatch("categorical"));
         }
         if !self.open_dict {
@@ -154,14 +128,14 @@ impl ColumnBuilder {
                 code
             }
         };
-        self.cats.push(code);
-        self.push_slot(true);
+        self.sealer.push_cat(code, true);
+        self.len += 1;
         Ok(())
     }
 
     /// Push any cell, dispatching on the column kind.
     pub fn push_cell(&mut self, cell: Cell) -> Result<()> {
-        match (self.kind, cell) {
+        match (self.sealer.kind(), cell) {
             (ColumnKind::Numeric, Cell::Num(v)) => self.push_num(Some(v)),
             (ColumnKind::Numeric, Cell::Missing) => self.push_num(None),
             (ColumnKind::Categorical, Cell::Cat(c)) => self.push_cat(Some(c)),
@@ -171,16 +145,14 @@ impl ColumnBuilder {
     }
 
     /// Seal the trailing partial segment and produce the column.
-    pub fn finish(mut self) -> Column {
-        if !self.valid.is_empty() || self.segments.is_empty() {
-            self.seal();
-        }
-        Column::from_segments(
+    pub fn finish(self) -> Column {
+        let (kind, seg_rows) = (self.sealer.kind(), self.sealer.seg_rows());
+        Column::from_parts(
             self.name.into(),
-            self.kind,
-            self.seg_rows,
+            kind,
+            seg_rows,
             self.len,
-            self.segments,
+            self.sealer.finish(),
             Arc::new(self.dict),
         )
     }

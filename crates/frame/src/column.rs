@@ -14,7 +14,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::segment::{
-    seal_categorical, seal_numeric, SegData, SegPayload, SegmentCore, SegmentView,
+    seal_categorical, seal_numeric, SegData, SegPayload, SegmentCore, SegmentSealer, SegmentView,
     DEFAULT_SEGMENT_ROWS,
 };
 use crate::{ColumnKind, FrameError, Result};
@@ -147,7 +147,7 @@ fn apply_cell(payload: &mut SegPayload, row: usize, cell: Cell) {
 }
 
 impl Column {
-    fn from_parts(
+    pub(crate) fn from_parts(
         name: Arc<str>,
         kind: ColumnKind,
         seg_rows: usize,
@@ -156,17 +156,6 @@ impl Column {
         categories: Arc<Vec<String>>,
     ) -> Self {
         Column { name, kind, seg_rows, len, segments, categories, fp: FpCache::default() }
-    }
-
-    pub(crate) fn from_segments(
-        name: Arc<str>,
-        kind: ColumnKind,
-        seg_rows: usize,
-        len: usize,
-        segments: Vec<Arc<SegmentCore>>,
-        categories: Arc<Vec<String>>,
-    ) -> Self {
-        Column::from_parts(name, kind, seg_rows, len, segments, categories)
     }
 
     /// Build a numeric column where every value is valid.
@@ -439,7 +428,7 @@ impl Column {
         if let Some(&bad) = rows.iter().find(|&&r| r >= nrows) {
             return Err(FrameError::RowOutOfBounds { row: bad, nrows });
         }
-        let mut out = RawBuilder::new(self.kind, self.seg_rows, rows.len());
+        let mut out = SegmentSealer::new(self.kind, self.seg_rows, rows.len());
         // Cache the last source view: split/sample indices are sorted, so
         // consecutive rows overwhelmingly land in the same segment.
         let mut cached: Option<(usize, SegmentView)> = None;
@@ -477,7 +466,7 @@ impl Column {
         if target == self.seg_rows {
             return Ok(self.clone());
         }
-        let mut out = RawBuilder::new(self.kind, target, self.len);
+        let mut out = SegmentSealer::new(self.kind, target, self.len);
         for seg in 0..self.segments.len() {
             let view = self.segment_view(seg)?;
             for local in 0..view.len() {
@@ -526,63 +515,6 @@ impl Column {
             Cell::Num(v) => format_float(v),
             Cell::Cat(code) => self.categories[code as usize].clone(),
         })
-    }
-}
-
-/// Accumulates raw (value, validity) pairs into sealed segments — the
-/// engine behind [`Column::take`] and [`Column::resegment`], which must
-/// preserve filler values under masked cells bit-for-bit.
-struct RawBuilder {
-    kind: ColumnKind,
-    seg_rows: usize,
-    nums: Vec<f64>,
-    cats: Vec<u32>,
-    valid: Vec<bool>,
-    segments: Vec<Arc<SegmentCore>>,
-}
-
-impl RawBuilder {
-    fn new(kind: ColumnKind, seg_rows: usize, size_hint: usize) -> Self {
-        let cap = seg_rows.min(size_hint.max(1));
-        RawBuilder {
-            kind,
-            seg_rows,
-            nums: if kind == ColumnKind::Numeric { Vec::with_capacity(cap) } else { Vec::new() },
-            cats: if kind == ColumnKind::Categorical {
-                Vec::with_capacity(cap)
-            } else {
-                Vec::new()
-            },
-            valid: Vec::with_capacity(cap),
-            segments: Vec::new(),
-        }
-    }
-
-    fn push_raw(&mut self, view: &SegmentView, local: usize) {
-        match &view.payload().data {
-            SegData::Num(v) => self.nums.push(v[local]),
-            SegData::Cat(v) => self.cats.push(v[local]),
-        }
-        self.valid.push(view.payload().valid[local]);
-        if self.valid.len() == self.seg_rows {
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        let valid = std::mem::take(&mut self.valid);
-        let data = match self.kind {
-            ColumnKind::Numeric => SegData::Num(std::mem::take(&mut self.nums)),
-            ColumnKind::Categorical => SegData::Cat(std::mem::take(&mut self.cats)),
-        };
-        self.segments.push(SegmentCore::new_resident(SegPayload { data, valid }, self.kind));
-    }
-
-    fn finish(mut self) -> Vec<Arc<SegmentCore>> {
-        if !self.valid.is_empty() || self.segments.is_empty() {
-            self.seal();
-        }
-        self.segments
     }
 }
 

@@ -354,6 +354,89 @@ impl SegmentView {
     }
 }
 
+/// Accumulates `(value, validity)` slots and seals every `seg_rows` of them
+/// into a resident segment: the one sealer behind the streaming
+/// [`crate::ColumnBuilder`] and behind [`crate::Column::take`] and
+/// [`crate::Column::resegment`], which push raw values (fillers under
+/// masked cells included) so fingerprints survive any re-layout.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentSealer {
+    kind: ColumnKind,
+    seg_rows: usize,
+    nums: Vec<f64>,
+    cats: Vec<u32>,
+    valid: Vec<bool>,
+    segments: Vec<Arc<SegmentCore>>,
+}
+
+impl SegmentSealer {
+    /// `size_hint` (expected rows) only sizes the first segment's buffers.
+    pub(crate) fn new(kind: ColumnKind, seg_rows: usize, size_hint: usize) -> Self {
+        let cap = seg_rows.min(size_hint);
+        let (nums, cats) = match kind {
+            ColumnKind::Numeric => (Vec::with_capacity(cap), Vec::new()),
+            ColumnKind::Categorical => (Vec::new(), Vec::with_capacity(cap)),
+        };
+        let valid = Vec::with_capacity(cap);
+        SegmentSealer { kind, seg_rows, nums, cats, valid, segments: Vec::new() }
+    }
+
+    pub(crate) fn kind(&self) -> ColumnKind {
+        self.kind
+    }
+
+    pub(crate) fn seg_rows(&self) -> usize {
+        self.seg_rows
+    }
+
+    /// Push a numeric slot; the caller guarantees the column is numeric.
+    pub(crate) fn push_num(&mut self, value: f64, valid: bool) {
+        self.nums.push(value);
+        self.push_valid(valid);
+    }
+
+    /// Push a categorical slot; the caller guarantees the column is
+    /// categorical.
+    pub(crate) fn push_cat(&mut self, code: u32, valid: bool) {
+        self.cats.push(code);
+        self.push_valid(valid);
+    }
+
+    /// Copy segment-local slot `local` of `view` verbatim.
+    pub(crate) fn push_raw(&mut self, view: &SegmentView, local: usize) {
+        let payload = view.payload();
+        match &payload.data {
+            SegData::Num(v) => self.push_num(v[local], payload.valid[local]),
+            SegData::Cat(v) => self.push_cat(v[local], payload.valid[local]),
+        }
+    }
+
+    fn push_valid(&mut self, valid: bool) {
+        self.valid.push(valid);
+        if self.valid.len() == self.seg_rows {
+            self.seal();
+        }
+    }
+
+    fn seal(&mut self) {
+        let valid = std::mem::take(&mut self.valid);
+        let data = match self.kind {
+            ColumnKind::Numeric => SegData::Num(std::mem::take(&mut self.nums)),
+            ColumnKind::Categorical => SegData::Cat(std::mem::take(&mut self.cats)),
+        };
+        self.segments.push(SegmentCore::new_resident(SegPayload { data, valid }, self.kind));
+    }
+
+    /// Seal the trailing partial segment (or one empty segment when nothing
+    /// was pushed) and return every segment in order.
+    pub(crate) fn finish(mut self) -> Vec<Arc<SegmentCore>> {
+        if !self.valid.is_empty() || self.segments.is_empty() {
+            self.seal();
+        }
+        self.segments
+    }
+}
+
 /// Split a full column's values/validity into sealed segments of `seg_rows`.
 pub(crate) fn seal_numeric(
     values: Vec<f64>,

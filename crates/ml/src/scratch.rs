@@ -78,11 +78,6 @@ pub fn pooled() -> usize {
     POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
 }
 
-/// Drop every pooled buffer (tests and cold-path benchmarks).
-pub fn clear() {
-    POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,13 +43,12 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage:
   comet pollute   --input FILE --label COL --error mv|gn|cs|s --level FRAC --output FILE [--seed N]
-  comet evaluate  --input FILE --label COL [--algo NAME] [--seed N]
+  comet evaluate  --input FILE --label COL [--algo NAME] [--seed N] [--segment-rows N]
   comet recommend --dirty FILE --clean FILE --label COL [--algo NAME] [--budget N]
                   [--step FRAC] [--batch N] [--max-retries N] [--trace FILE]
                   [--checkpoint FILE [--resume]] [--metrics-out FILE]
                   [--kernels scalar|simd] [--f32-probes]
-                  [--detect [--detectors LIST]]
-                  [--no-feature-cache] [--seed N]
+                  [--detect [--detectors LIST]] [--seed N]
                   [--segment-rows N] [--memory-budget BYTES]
 
   comet serve     --root DIR [--workers N] [--max-queued N] [--tenant-cap N]
@@ -75,7 +74,8 @@ usage:
                 column). Traces are bit-identical across sizes.
   --memory-budget BYTES cap resident segment bytes; cold segments spill to
                 disk (LRU, content-addressed). Accepts K/M/G suffixes,
-                e.g. 512M";
+                e.g. 512M
+  A flag not on the command's usage line is an error.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,16 +105,37 @@ fn main() -> ExitCode {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["resume", "no-feature-cache", "f32-probes", "detect"];
+const BOOL_FLAGS: &[&str] = &["resume", "f32-probes", "detect"];
 
-/// Parse `--key value` pairs (and valueless [`BOOL_FLAGS`]).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each command accepts: exactly those on its usage line
+/// (`client` takes the union over its actions).
+const POLLUTE_FLAGS: &str = "input label error level output seed";
+const EVALUATE_FLAGS: &str = "input label algo seed segment-rows";
+const RECOMMEND_FLAGS: &str = "dirty clean label algo budget step batch max-retries trace \
+    checkpoint resume metrics-out kernels f32-probes detect detectors seed segment-rows \
+    memory-budget";
+const SERVE_FLAGS: &str = "root workers max-queued tenant-cap backoff-ms port port-file \
+    kernels metrics-out report-every-secs inject-fault segment-rows memory-budget";
+const CLIENT_FLAGS: &str = "port port-file retry file dirty clean label algo budget seed \
+    tenant detect deadline-ms session from";
+
+/// Parse `--key value` pairs (and valueless [`BOOL_FLAGS`]). A flag not in
+/// the space-separated `known` list is an error naming `command`, before
+/// it can swallow the next argument as its value.
+fn parse_flags(
+    command: &str,
+    known: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut iter = args.iter();
     while let Some(key) = iter.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got {key:?}"));
         };
+        if !known.split_whitespace().any(|flag| flag == name) {
+            return Err(format!("unknown flag --{name} for {command}"));
+        }
         if BOOL_FLAGS.contains(&name) {
             out.insert(name.to_string(), "true".to_string());
             continue;
@@ -190,7 +211,7 @@ fn algo_of(flags: &HashMap<String, String>) -> Result<Algorithm, String> {
 }
 
 fn cmd_pollute(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("pollute", POLLUTE_FLAGS, args)?;
     let input = required(&flags, "input")?;
     let label = required(&flags, "label")?;
     let output = required(&flags, "output")?;
@@ -221,7 +242,7 @@ fn cmd_pollute(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("evaluate", EVALUATE_FLAGS, args)?;
     let input = required(&flags, "input")?;
     let label = required(&flags, "label")?;
     let algorithm = algo_of(&flags)?;
@@ -251,7 +272,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("recommend", RECOMMEND_FLAGS, args)?;
     let dirty_path = required(&flags, "dirty")?;
     let clean_path = required(&flags, "clean")?;
     let label = required(&flags, "label")?;
@@ -337,12 +358,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         // Derived feature blocks get a quarter of the budget; they are
         // dropped (recomputed from segments), never spilled.
         env.set_feature_cache_budget((budget / 4).max(1) as usize);
-    }
-    // `--no-feature-cache` reverts evaluation to full re-featurization per
-    // candidate — the pre-cache behaviour, kept as an escape hatch and for
-    // timing comparisons. Scores are identical either way.
-    if flags.contains_key("no-feature-cache") {
-        env.set_feature_caching(false);
     }
     // Which error types does the dirt look like? Oracle mode runs the
     // paper's four (the provenance derived from the diff uses those
@@ -453,7 +468,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("serve", SERVE_FLAGS, args)?;
     let mut config =
         ServeConfig { root: required(&flags, "root")?.into(), ..ServeConfig::default() };
     if let Some(v) = flags.get("workers") {
@@ -526,7 +541,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             "client needs an action: ping|upload|start|status|results|cancel|stats|drain".into()
         );
     };
-    let flags = parse_flags(rest)?;
+    let flags = parse_flags("client", CLIENT_FLAGS, rest)?;
     let retries: usize =
         flags.get("retry").map_or(Ok(0), |s| s.parse().map_err(|e| format!("--retry: {e}")))?;
     let request = build_client_request(action, &flags)?;
@@ -619,7 +634,12 @@ mod tests {
     use super::*;
 
     fn flags(args: &[&str]) -> Result<HashMap<String, String>, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let known = [POLLUTE_FLAGS, EVALUATE_FLAGS, RECOMMEND_FLAGS, SERVE_FLAGS, CLIENT_FLAGS];
+        parse_flags(
+            "test",
+            &known.join(" "),
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -634,6 +654,20 @@ mod tests {
     fn parse_flags_rejects_bad_shapes() {
         assert!(flags(&["input", "a.csv"]).is_err(), "missing --");
         assert!(flags(&["--input"]).is_err(), "dangling flag");
+    }
+
+    #[test]
+    fn parse_flags_rejects_flags_off_the_usage_line() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = parse_flags("recommend", RECOMMEND_FLAGS, &args(&["--budgte", "1"])).unwrap_err();
+        assert_eq!(err, "unknown flag --budgte for recommend");
+        // Refused before it can take `--seed` as its value.
+        let err =
+            parse_flags("recommend", RECOMMEND_FLAGS, &args(&["--verbose", "--seed"])).unwrap_err();
+        assert_eq!(err, "unknown flag --verbose for recommend");
+        // A flag valid for one command is still unknown to another.
+        assert!(parse_flags("pollute", POLLUTE_FLAGS, &args(&["--algo", "gb"])).is_err());
+        assert!(parse_flags("client", CLIENT_FLAGS, &args(&["--session", "s1"])).is_ok());
     }
 
     #[test]

@@ -15,11 +15,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small separable dataset written as CSV.
-fn write_clean_csv(path: &PathBuf) {
+/// A small separable dataset of `rows` rows written as CSV.
+fn write_clean_csv(path: &PathBuf, rows: usize) {
     let mut csv = String::from("f1,f2,cat,y\n");
     // Deterministic pseudo-random but separable data.
-    for i in 0..240 {
+    for i in 0..rows {
         let c = i % 2;
         let jitter = ((i * 37) % 101) as f64 / 101.0 - 0.5;
         let f1 = if c == 0 { -2.0 } else { 2.0 } + jitter;
@@ -37,7 +37,7 @@ fn pollute_then_evaluate_then_recommend() {
     let clean = dir.join("clean.csv");
     let dirty = dir.join("dirty.csv");
     let trace = dir.join("trace.csv");
-    write_clean_csv(&clean);
+    write_clean_csv(&clean, 240);
 
     // pollute
     let out = comet()
@@ -179,7 +179,7 @@ fn unknown_command_and_missing_flags_fail_cleanly() {
 fn recommend_rejects_bad_numeric_flags_without_panicking() {
     let dir = temp_dir("bad_numbers");
     let clean = dir.join("clean.csv");
-    write_clean_csv(&clean);
+    write_clean_csv(&clean, 240);
     let path = clean.to_str().unwrap();
     for (flag, value, field) in [
         ("--budget", "nan", "budget"),
@@ -231,4 +231,86 @@ fn help_prints_usage() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("comet pollute"));
     assert!(stdout.contains("comet recommend"));
+}
+
+#[test]
+fn misspelt_flags_are_rejected() {
+    for (args, message) in [
+        (&["evaluate", "--input", "x.csv", "--algorithm", "gb"][..], "--algorithm for evaluate"),
+        (&["recommend", "--dirty", "d.csv", "--budgte", "1"], "--budgte for recommend"),
+        (&["pollute", "--sed", "3"], "--sed for pollute"),
+        (&["client", "status", "--sesion", "s00000001"], "--sesion for client"),
+    ] {
+        let out = comet().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {message}")), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn no_feature_cache_flag_is_gone() {
+    // Refused as a flag, not silently taken with `--seed` as its value.
+    let out = comet()
+        .args(["recommend", "--no-feature-cache", "--seed", "5", "--label", "y"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag --no-feature-cache for recommend"), "{stderr}");
+}
+
+/// A categorical shift that changes which `cat` label comes first makes
+/// the dirty CSV number its categories differently from the clean one. The
+/// session must still compare, and restore, cells by label.
+#[test]
+fn recommend_compares_categories_by_label_across_dictionaries() {
+    let dir = temp_dir("dictionaries");
+    let (clean, dirty, trace) =
+        (dir.join("clean.csv"), dir.join("dirty.csv"), dir.join("trace.csv"));
+    write_clean_csv(&clean, 160);
+    let run = |args: &[&str]| {
+        let out = comet().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
+    let (clean_s, dirty_s, trace_s) = (path(&clean), path(&dirty), path(&trace));
+    let out = run(&[
+        "pollute", "--input", &clean_s, "--label", "y", "--error", "cs", "--level", "0.3",
+        "--output", &dirty_s, "--seed", "4",
+    ]);
+    assert!(out.contains("polluted 48 cells"), "{out}");
+    // The first row's `a` became `b`, so the dirty dictionary is [b, a].
+    let first = fs::read_to_string(&dirty).unwrap().lines().nth(1).unwrap().to_string();
+    assert!(first.ends_with(",b,no"), "{first}");
+    run(&[
+        "recommend",
+        "--dirty",
+        &dirty_s,
+        "--clean",
+        &clean_s,
+        "--label",
+        "y",
+        "--budget",
+        "12",
+        "--step",
+        "0.05",
+        "--seed",
+        "5",
+        "--algo",
+        "svm",
+        "--trace",
+        &trace_s,
+    ]);
+    let trace = fs::read_to_string(&trace).unwrap();
+    let mut cleaned = 0;
+    for line in trace.lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        assert_eq!((fields[1], fields[2]), ("cat", "CS"), "{trace}");
+        cleaned += fields[9].parse::<usize>().unwrap();
+    }
+    // Exactly the polluted cells, after which the session runs out of dirt.
+    assert_eq!(cleaned, 48, "{trace}");
+    fs::remove_dir_all(dir).ok();
 }
