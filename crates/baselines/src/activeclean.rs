@@ -13,8 +13,10 @@
 //! paper reports (§5.3: "the F1 score can drop by up to 30 %pt after a
 //! cleaning step, only to recover").
 
-use crate::strategy::StrategyConfig;
-use comet_core::{Budget, CleaningEnvironment, CleaningTrace, EnvError, StepAction, StepRecord};
+use comet_core::{
+    Budget, CleaningEnvironment, CleaningTrace, CometConfig, CometError, EnvError, StepAction,
+    StepRecord,
+};
 use comet_jenga::ErrorType;
 use comet_ml::sgd::{Glm, Loss, SgdParams};
 use comet_ml::{Algorithm, Featurizer};
@@ -65,9 +67,9 @@ impl ActiveClean {
         &self,
         env: &mut CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         rng: &mut R,
-    ) -> Result<CleaningTrace, EnvError> {
+    ) -> Result<CleaningTrace, CometError> {
         let loss = Self::loss_for(env.model().algorithm)?;
         let mut budget = Budget::new(config.budget);
         let mut steps_done: BTreeMap<ErrorType, usize> = BTreeMap::new();
@@ -258,7 +260,7 @@ impl ActiveClean {
         env: &CleaningEnvironment,
         batch_train: &[usize],
         batch_test: &[usize],
-        config: &StrategyConfig,
+        config: &CometConfig,
         steps_done: &BTreeMap<ErrorType, usize>,
     ) -> f64 {
         let mut weighted = 0.0;
@@ -340,7 +342,7 @@ mod tests {
         let res = ActiveClean::default().run(
             &mut env,
             &[ErrorType::MissingValues],
-            &StrategyConfig::default(),
+            &CometConfig::default(),
             &mut rng,
         );
         assert!(res.is_err());
@@ -350,7 +352,7 @@ mod tests {
     fn cleans_records_within_budget() {
         let mut env = small_env(2, vec![(0, 0.3), (1, 0.2)], Algorithm::Svm);
         let before = env.total_dirty().unwrap();
-        let config = StrategyConfig { budget: 10.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 10.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(1);
         let trace = ActiveClean::default()
             .run(&mut env, &[ErrorType::MissingValues], &config, &mut rng)
@@ -365,7 +367,7 @@ mod tests {
     #[test]
     fn ample_budget_fully_cleans() {
         let mut env = small_env(3, vec![(0, 0.1)], Algorithm::LogReg);
-        let config = StrategyConfig { budget: 10_000.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 10_000.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(2);
         ActiveClean::default()
             .run(&mut env, &[ErrorType::MissingValues], &config, &mut rng)

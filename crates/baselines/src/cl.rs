@@ -1,240 +1,85 @@
 //! CL — COMET-Light (paper §4.5).
 //!
 //! Applies COMET's Estimator once, up front, to produce a *static* ranked
-//! list of `(feature, error type)` candidates, then cleans in that fixed
-//! order using the same cleaning step, revert and fallback machinery as
-//! COMET. The contrast with full COMET isolates the value of re-estimating
-//! every iteration: CL's ranking goes stale as the data changes.
+//! list of `(feature, error type)` candidates, then hands that frozen
+//! ranking to COMET's own clean phase every iteration: the same cleaning
+//! step, revert, buffer and fallback machinery. The contrast with full
+//! COMET isolates the value of re-estimating every iteration: CL's ranking
+//! goes stale as the data changes.
 
-use crate::strategy::StrategyConfig;
 use comet_core::{
-    Budget, CleaningEnvironment, CleaningTrace, CometConfig, EnvError, Estimator, Polluter,
-    Recommender, StepAction, StepRecord,
+    Candidate, CleaningEnvironment, CleaningSession, CleaningTrace, CometConfig, CometError,
+    Estimator, Polluter, Recommender, SessionState,
 };
 use comet_jenga::ErrorType;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The COMET-Light baseline.
-#[derive(Debug, Clone)]
-pub struct CometLight {
-    /// COMET configuration used for the single estimation pass (pollution
-    /// steps, combinations, Bayesian regression settings).
-    pub comet: CometConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CometLight;
 
 impl CometLight {
-    /// Build with a COMET config (its budget/cost fields are ignored; the
-    /// [`StrategyConfig`] passed to [`run`](Self::run) governs those).
-    pub fn new(comet: CometConfig) -> Self {
-        CometLight { comet }
-    }
-
-    /// Run CL to completion.
+    /// Run CL to completion: until the budget is exhausted, the data is
+    /// clean, or no step sticks.
     pub fn run<R: Rng>(
         &self,
         env: &mut CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         rng: &mut R,
-    ) -> Result<CleaningTrace, EnvError> {
-        let mut budget = Budget::new(config.budget);
-        let polluter = Polluter::from_config(&self.comet);
-        let estimator = Estimator::new(
-            self.comet.blr_degree,
-            self.comet.interval,
-            false, // one-shot estimation: nothing to bias-correct against
-        );
-        let mut recommender = Recommender::new(self.comet.use_uncertainty);
-        let mut steps_done: BTreeMap<(usize, ErrorType), usize> = BTreeMap::new();
+    ) -> Result<CleaningTrace, CometError> {
+        let session = CleaningSession::new(*config, errors.to_vec());
+        let mut state = SessionState::new(config, env)?;
 
-        let mut trace = CleaningTrace {
-            initial_f1: env.evaluate()?,
-            fully_clean_f1: Some(env.fully_cleaned_f1()?),
-            ..CleaningTrace::default()
-        };
-        let mut current_f1 = trace.initial_f1;
-
-        // --- The single estimation pass (this is what makes CL "light"). ---
+        // --- The single estimation pass (this is what makes CL "light"):
+        // sequential on the caller's rng, with nothing to bias-correct
+        // against. CL cleans without the Polluter's row preference.
         // comet-lint: allow(D3) — observability: iteration runtime for reports; never feeds a trace decision
         let started = Instant::now();
-        let pairs = env.candidate_pairs(errors);
-        let mut ranking: Vec<((usize, ErrorType), f64)> = Vec::with_capacity(pairs.len());
-        for &(col, err) in &pairs {
+        let polluter = Polluter::from_config(config);
+        let estimator = Estimator::new(config.blr_degree, config.interval, false);
+        let scorer = Recommender::new(config.use_uncertainty);
+        let mut ranking = Vec::new();
+        for (col, err) in env.candidate_pairs(errors) {
             let variants = polluter.variants(env, col, err, rng)?;
-            let estimate = estimator.estimate(env, col, err, current_f1, &variants)?;
-            let cost = config.costs.next_cost(err, 0);
-            let score = recommender.score(&estimate, cost);
-            ranking.push(((col, err), score));
+            let mut estimate = estimator.estimate(env, col, err, state.current_f1(), &variants)?;
+            estimate.flagged_train.clear();
+            estimate.flagged_test.clear();
+            let cost = state.next_cost(config, (col, err));
+            ranking.push(Candidate { score: scorer.score(&estimate, cost), estimate, cost });
         }
-        // `total_cmp` over a NaN-sanitized key (D2): a degenerate estimate
-        // can score NaN, which must sink to the end, not panic the sort.
-        // The sort is stable, so tied scores keep candidate-pair order.
-        let key = |s: f64| if s.is_nan() { f64::NEG_INFINITY } else { s };
-        ranking.sort_by(|a, b| key(b.1).total_cmp(&key(a.1)));
-        let order: Vec<(usize, ErrorType)> = ranking.into_iter().map(|(p, _)| p).collect();
-        trace.iteration_runtimes.push(started.elapsed());
+        // Unlike `Recommender::rank`, non-positive gains stay in. The sort
+        // is stable, so tied scores keep candidate-pair order, and a NaN
+        // score sinks to the end through a sanitized `total_cmp` key (D2).
+        let key = |c: &Candidate| if c.score.is_nan() { f64::NEG_INFINITY } else { c.score };
+        ranking.sort_by(|a, b| key(b).total_cmp(&key(a)));
+        state.push_runtime(started.elapsed());
 
-        // --- Clean in the static order with revert/fallback. ---
+        // --- Clean down the frozen ranking, still-dirty pairs only, each
+        // priced at its current step count.
         for iteration in 0..100_000usize {
-            if budget.exhausted() {
+            state.set_iteration(iteration);
+            if state.budget().exhausted() {
                 break;
             }
             let dirty = env.candidate_pairs(errors);
             if dirty.is_empty() {
                 break;
             }
-            let mut progressed = false;
-
-            for &(col, err) in order.iter().filter(|p| dirty.contains(p)) {
-                // Buffered (previously reverted) state re-applies for free.
-                // (`buffer_take` is its own existence check — no unwrap.)
-                if let Some(buffered) = recommender.buffer_take(col, err) {
-                    let pre = env.snapshot(col)?;
-                    env.restore(&buffered)?;
-                    let f1 = env.evaluate()?;
-                    if f1 >= current_f1 - 1e-12 {
-                        current_f1 = f1;
-                        recommender.record_post_clean_f1(col, err, f1);
-                        trace.records.push(StepRecord {
-                            iteration,
-                            col,
-                            err,
-                            action: StepAction::BufferApplied,
-                            cost: 0.0,
-                            budget_spent: budget.spent(),
-                            predicted_f1: None,
-                            raw_predicted_f1: None,
-                            actual_f1: f1,
-                            cleaned_cells: 0,
-                        });
-                        trace.f1_curve.push((budget.spent(), f1));
-                        progressed = true;
-                        break;
-                    }
-                    env.restore(&pre)?;
-                    recommender.buffer_store(col, err, buffered);
-                    continue;
-                }
-
-                let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
-                let cost = config.costs.next_cost(err, done);
-                if !budget.can_afford(cost) {
-                    continue;
-                }
-                let pre = env.snapshot(col)?;
-                let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
-                if ctr + cte == 0 {
-                    continue;
-                }
-                budget.try_spend(cost);
-                *steps_done.entry((col, err)).or_default() += 1;
-                let f1 = env.evaluate()?;
-                recommender.record_post_clean_f1(col, err, f1);
-
-                if f1 >= current_f1 - 1e-12 {
-                    current_f1 = f1;
-                    trace.records.push(StepRecord {
-                        iteration,
-                        col,
-                        err,
-                        action: StepAction::Accepted,
-                        cost,
-                        budget_spent: budget.spent(),
-                        predicted_f1: None,
-                        raw_predicted_f1: None,
-                        actual_f1: f1,
-                        cleaned_cells: ctr + cte,
-                    });
-                    trace.f1_curve.push((budget.spent(), f1));
-                    progressed = true;
-                    break;
-                }
-                let cleaned_state = env.snapshot(col)?;
-                env.restore(&pre)?;
-                recommender.buffer_store(col, err, cleaned_state);
-                trace.records.push(StepRecord {
-                    iteration,
-                    col,
-                    err,
-                    action: StepAction::Reverted,
-                    cost,
-                    budget_spent: budget.spent(),
-                    predicted_f1: None,
-                    raw_predicted_f1: None,
-                    actual_f1: f1,
-                    cleaned_cells: ctr + cte,
-                });
-                trace.f1_curve.push((budget.spent(), current_f1));
-            }
-
-            // Fallback: commit to the historically best candidate.
-            if !progressed {
-                let dirty_now = env.candidate_pairs(errors);
-                if let Some((col, err)) = recommender.fallback(&dirty_now) {
-                    if let Some(buffered) = recommender.buffer_take(col, err) {
-                        env.restore(&buffered)?;
-                        let f1 = env.evaluate()?;
-                        current_f1 = f1;
-                        recommender.record_post_clean_f1(col, err, f1);
-                        trace.records.push(StepRecord {
-                            iteration,
-                            col,
-                            err,
-                            action: StepAction::Fallback,
-                            cost: 0.0,
-                            budget_spent: budget.spent(),
-                            predicted_f1: None,
-                            raw_predicted_f1: None,
-                            actual_f1: f1,
-                            cleaned_cells: 0,
-                        });
-                        trace.f1_curve.push((budget.spent(), f1));
-                        progressed = true;
-                    } else {
-                        let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
-                        let cost = config.costs.next_cost(err, done);
-                        if budget.can_afford(cost) {
-                            let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
-                            if ctr + cte > 0 {
-                                budget.try_spend(cost);
-                                *steps_done.entry((col, err)).or_default() += 1;
-                                let f1 = env.evaluate()?;
-                                current_f1 = f1;
-                                recommender.record_post_clean_f1(col, err, f1);
-                                trace.records.push(StepRecord {
-                                    iteration,
-                                    col,
-                                    err,
-                                    action: StepAction::Fallback,
-                                    cost,
-                                    budget_spent: budget.spent(),
-                                    predicted_f1: None,
-                                    raw_predicted_f1: None,
-                                    actual_f1: f1,
-                                    cleaned_cells: ctr + cte,
-                                });
-                                trace.f1_curve.push((budget.spent(), f1));
-                                progressed = true;
-                            }
-                        }
-                    }
-                }
-            }
-
-            if !progressed {
+            let ranked: Vec<Candidate> = ranking
+                .iter()
+                .filter(|c| dirty.contains(&(c.estimate.col, c.estimate.err)))
+                .map(|c| Candidate {
+                    cost: state.next_cost(config, (c.estimate.col, c.estimate.err)),
+                    ..c.clone()
+                })
+                .collect();
+            if !session.clean_ranked(env, rng, &mut state, &ranked)? {
                 break;
             }
         }
-        trace.final_f1 = current_f1;
-        Ok(trace)
-    }
-}
-
-impl Default for CometLight {
-    fn default() -> Self {
-        CometLight::new(CometConfig::default())
+        Ok(state.finish())
     }
 }
 
@@ -257,10 +102,10 @@ mod tests {
     #[test]
     fn cl_runs_and_respects_budget() {
         let mut env = small_env(1, vec![(0, 0.3), (1, 0.2)], Algorithm::Knn);
-        let cl = CometLight::new(quick_comet());
-        let config = StrategyConfig { budget: 8.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 8.0, ..quick_comet() };
         let mut rng = StdRng::seed_from_u64(0);
-        let trace = cl.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
+        let trace =
+            CometLight.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(trace.total_spent() <= 8.0 + 1e-9);
         assert!(!trace.records.is_empty());
         // Exactly one estimation pass: one recommendation runtime entry.
@@ -270,10 +115,9 @@ mod tests {
     #[test]
     fn cl_fully_cleans_with_ample_budget() {
         let mut env = small_env(2, vec![(0, 0.1), (3, 0.1)], Algorithm::Knn);
-        let cl = CometLight::new(quick_comet());
-        let config = StrategyConfig { budget: 1_000.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 1_000.0, ..quick_comet() };
         let mut rng = StdRng::seed_from_u64(1);
-        cl.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
+        CometLight.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(env.candidate_pairs(&[ErrorType::MissingValues]).is_empty());
     }
 }

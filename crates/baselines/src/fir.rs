@@ -6,8 +6,8 @@
 //! paper's point is precisely that this static view goes stale as cleaning
 //! proceeds.
 
-use crate::strategy::{execute_picks, StrategyConfig};
-use comet_core::{CleaningEnvironment, CleaningTrace, EnvError};
+use crate::strategy::execute_picks;
+use comet_core::{CleaningEnvironment, CleaningTrace, CometConfig, CometError, EnvError};
 use comet_jenga::ErrorType;
 use comet_ml::shapley::{column_means, rank_by_importance, shapley_importance, ShapleyConfig};
 use comet_ml::Featurizer;
@@ -66,15 +66,15 @@ impl FeatureImportanceCleaner {
         &self,
         env: &mut CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         rng: &mut R,
-    ) -> Result<CleaningTrace, EnvError> {
+    ) -> Result<CleaningTrace, CometError> {
         let ranking = self.rank_features(env, rng)?;
         execute_picks(
             env,
             errors,
             config,
-            move |_env, dirty, _config, _steps, _rng| {
+            move |env, dirty, _state, _rng| {
                 // Highest-ranked feature that still has dirt; within the
                 // feature, the error type with the most dirty training cells
                 // (deterministic).
@@ -86,7 +86,7 @@ impl FeatureImportanceCleaner {
                             continue;
                         }
                         let count =
-                            _env.dirty_train_rows(c, e).len() + _env.dirty_test_rows(c, e).len();
+                            env.dirty_train_rows(c, e).len() + env.dirty_test_rows(c, e).len();
                         if count > best_count {
                             best_count = count;
                             best = Some((c, e));
@@ -126,7 +126,7 @@ mod tests {
     fn cleans_one_feature_to_completion_before_next() {
         let mut env = small_env(2, vec![(0, 0.15), (1, 0.15)], Algorithm::Knn);
         let fir = FeatureImportanceCleaner { n_permutations: 2 };
-        let config = StrategyConfig { budget: 1_000.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 1_000.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(1);
         let trace = fir.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(env.is_fully_clean().unwrap());
@@ -152,7 +152,7 @@ mod tests {
     fn respects_budget() {
         let mut env = small_env(3, vec![(0, 0.4)], Algorithm::Knn);
         let fir = FeatureImportanceCleaner { n_permutations: 2 };
-        let config = StrategyConfig { budget: 4.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 4.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(2);
         let trace = fir.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(trace.total_spent() <= 4.0 + 1e-9);

@@ -9,8 +9,8 @@
 //! * [`FeatureImportanceCleaner`] (**FIR**) — Shapley values computed once
 //!   on the dirty data rank the features; clean top-ranked until exhausted,
 //! * [`CometLight`] (**CL**) — one Estimator pass up front produces a
-//!   static ranking; thereafter the same cleaning step, revert and fallback
-//!   machinery as COMET,
+//!   static ranking; every iteration then runs COMET's own clean phase
+//!   (step, revert, buffer, fallback) over it,
 //! * [`ActiveClean`] (**AC**) — Krishnan et al.'s gradient-based record
 //!   selection for convex-loss models, adapted to the feature-level budget
 //!   accounting of §5.3,
@@ -31,4 +31,4 @@ pub use cl::CometLight;
 pub use fir::FeatureImportanceCleaner;
 pub use oracle::Oracle;
 pub use rr::RandomCleaner;
-pub use strategy::{average_traces, StrategyConfig};
+pub use strategy::average_traces;

@@ -5,8 +5,8 @@
 //! with the best gain per cost. Greedy, so not globally optimal — the paper
 //! notes COMET occasionally beats it — but a strong upper bound on average.
 
-use crate::strategy::{execute_picks, StrategyConfig};
-use comet_core::{CleaningEnvironment, CleaningTrace, EnvError};
+use crate::strategy::execute_picks;
+use comet_core::{CleaningEnvironment, CleaningTrace, CometConfig, CometError};
 use comet_jenga::ErrorType;
 use rand::Rng;
 
@@ -20,14 +20,14 @@ impl Oracle {
         &self,
         env: &mut CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         rng: &mut R,
-    ) -> Result<CleaningTrace, EnvError> {
+    ) -> Result<CleaningTrace, CometError> {
         execute_picks(
             env,
             errors,
             config,
-            |env, dirty, config, steps_done, rng| {
+            |env, dirty, state, rng| {
                 let current = env.evaluate()?;
                 let mut best: Option<((usize, ErrorType), f64)> = None;
                 for &(col, err) in dirty {
@@ -35,9 +35,8 @@ impl Oracle {
                     let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
                     let candidate = if ctr + cte > 0 {
                         let f1 = env.evaluate()?;
-                        let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
                         // comet-lint: allow(D2) — epsilon clamp on a validated positive cost, same as Recommender::score
-                        let cost = config.costs.next_cost(err, done).max(1e-6);
+                        let cost = state.next_cost(config, (col, err)).max(1e-6);
                         Some(((col, err), (f1 - current) / cost))
                     } else {
                         None
@@ -68,7 +67,7 @@ mod tests {
     #[test]
     fn oracle_runs_within_budget() {
         let mut env = small_env(1, vec![(0, 0.3), (1, 0.2)], Algorithm::Knn);
-        let config = StrategyConfig { budget: 6.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 6.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(0);
         let trace = Oracle.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(trace.total_spent() <= 6.0 + 1e-9);
@@ -83,7 +82,7 @@ mod tests {
         let mut random_total = 0.0;
         for seed in 0..6 {
             let env = small_env(seed, vec![(0, 0.5), (1, 0.4), (5, 0.3)], Algorithm::Knn);
-            let config = StrategyConfig { budget: 8.0, ..StrategyConfig::default() };
+            let config = CometConfig { budget: 8.0, ..CometConfig::default() };
             let mut rng = StdRng::seed_from_u64(seed);
             let mut env_o = env.clone();
             let to =
@@ -111,7 +110,7 @@ mod tests {
     #[test]
     fn oracle_leaves_environment_clean_with_ample_budget() {
         let mut env = small_env(4, vec![(0, 0.1)], Algorithm::Knn);
-        let config = StrategyConfig { budget: 1_000.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 1_000.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(3);
         Oracle.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(env.is_fully_clean().unwrap());

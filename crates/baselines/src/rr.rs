@@ -1,7 +1,7 @@
 //! RR — random cleaning recommendations (paper §4.5).
 
-use crate::strategy::{execute_picks, StrategyConfig};
-use comet_core::{CleaningEnvironment, CleaningTrace, EnvError};
+use crate::strategy::execute_picks;
+use comet_core::{CleaningEnvironment, CleaningTrace, CometConfig, CometError};
 use comet_jenga::ErrorType;
 use rand::Rng;
 
@@ -17,14 +17,14 @@ impl RandomCleaner {
         &self,
         env: &mut CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         rng: &mut R,
-    ) -> Result<CleaningTrace, EnvError> {
+    ) -> Result<CleaningTrace, CometError> {
         execute_picks(
             env,
             errors,
             config,
-            |_env, dirty, _config, _steps, rng| Ok(Some(dirty[rng.gen_range(0..dirty.len())])),
+            |_env, dirty, _state, rng| Ok(Some(dirty[rng.gen_range(0..dirty.len())])),
             rng,
         )
     }
@@ -35,10 +35,10 @@ impl RandomCleaner {
         &self,
         env: &CleaningEnvironment,
         errors: &[ErrorType],
-        config: &StrategyConfig,
+        config: &CometConfig,
         repetitions: usize,
         rng: &mut R,
-    ) -> Result<Vec<CleaningTrace>, EnvError> {
+    ) -> Result<Vec<CleaningTrace>, CometError> {
         assert!(repetitions > 0, "need at least one repetition");
         let mut traces = Vec::with_capacity(repetitions);
         for _ in 0..repetitions {
@@ -62,7 +62,7 @@ mod tests {
     fn random_cleaner_spends_budget_and_cleans() {
         let mut env = small_env(1, vec![(0, 0.3), (1, 0.2)], Algorithm::Knn);
         let before = env.total_dirty().unwrap();
-        let config = StrategyConfig { budget: 10.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 10.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(0);
         let trace =
             RandomCleaner.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn repetitions_are_independent() {
         let env = small_env(2, vec![(0, 0.3)], Algorithm::Knn);
-        let config = StrategyConfig { budget: 5.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 5.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(1);
         let traces = RandomCleaner
             .run_repeated(&env, &[ErrorType::MissingValues], &config, 3, &mut rng)
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn stops_when_clean() {
         let mut env = small_env(3, vec![(0, 0.05)], Algorithm::Knn);
-        let config = StrategyConfig { budget: 1_000.0, ..StrategyConfig::default() };
+        let config = CometConfig { budget: 1_000.0, ..CometConfig::default() };
         let mut rng = StdRng::seed_from_u64(2);
         RandomCleaner.run(&mut env, &[ErrorType::MissingValues], &config, &mut rng).unwrap();
         assert!(env.is_fully_clean().unwrap());

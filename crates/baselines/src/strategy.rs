@@ -1,60 +1,38 @@
-//! Shared strategy plumbing: configuration, the accept-always step executor
-//! used by RR/FIR/Oracle, and trace averaging for repeated runs.
+//! Shared strategy plumbing: the accept-always step executor used by
+//! RR/FIR/Oracle, and trace averaging for repeated runs.
 
 use comet_core::{
-    Budget, CleaningEnvironment, CleaningTrace, CostPolicy, EnvError, StepAction, StepRecord,
+    CleaningEnvironment, CleaningTrace, CometConfig, CometError, EnvError, SessionState, StepAction,
 };
 use comet_jenga::ErrorType;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Budget and cost setup shared by all strategies in one experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StrategyConfig {
-    /// Total cleaning budget.
-    pub budget: f64,
-    /// Cost policy (must match COMET's for comparability).
-    pub costs: CostPolicy,
-}
-
-impl Default for StrategyConfig {
-    fn default() -> Self {
-        StrategyConfig { budget: 50.0, costs: CostPolicy::constant() }
-    }
-}
 
 /// Run an accept-always cleaning loop where `pick` chooses the next
 /// `(feature, error type)` among the currently dirty pairs. Used by RR
 /// (random pick), FIR (static ranking pick) and Oracle (measured pick).
+/// Every step is booked through COMET's own [`SessionState`]. An
+/// unaffordable pick gives way to the first affordable dirty pair.
 pub(crate) fn execute_picks<R, F>(
     env: &mut CleaningEnvironment,
     errors: &[ErrorType],
-    config: &StrategyConfig,
+    config: &CometConfig,
     mut pick: F,
     rng: &mut R,
-) -> Result<CleaningTrace, EnvError>
+) -> Result<CleaningTrace, CometError>
 where
     R: Rng,
     F: FnMut(
         &mut CleaningEnvironment,
         &[(usize, ErrorType)],
-        &StrategyConfig,
-        &BTreeMap<(usize, ErrorType), usize>,
+        &SessionState,
         &mut R,
     ) -> Result<Option<(usize, ErrorType)>, EnvError>,
 {
-    let mut budget = Budget::new(config.budget);
-    let mut steps_done: BTreeMap<(usize, ErrorType), usize> = BTreeMap::new();
-    let mut trace = CleaningTrace {
-        initial_f1: env.evaluate()?,
-        fully_clean_f1: Some(env.fully_cleaned_f1()?),
-        ..CleaningTrace::default()
-    };
-    let mut current_f1 = trace.initial_f1;
-
+    let mut state = SessionState::new(config, env)?;
     for iteration in 0..100_000usize {
-        if budget.exhausted() {
+        state.set_iteration(iteration);
+        if state.budget().exhausted() {
             break;
         }
         let dirty = env.candidate_pairs(errors);
@@ -63,91 +41,29 @@ where
         }
         // comet-lint: allow(D3) — observability: iteration runtime for reports; never feeds a trace decision
         let started = Instant::now();
-        let Some((col, err)) = pick(env, &dirty, config, &steps_done, rng)? else {
+        let Some(picked) = pick(env, &dirty, &state, rng)? else {
             break;
         };
-        trace.iteration_runtimes.push(started.elapsed());
-        let done = steps_done.get(&(col, err)).copied().unwrap_or(0);
-        let cost = config.costs.next_cost(err, done);
-        if !budget.can_afford(cost) {
-            // Try to find any affordable dirty pair before giving up.
-            let affordable = dirty.iter().copied().find(|&(c, e)| {
-                let d = steps_done.get(&(c, e)).copied().unwrap_or(0);
-                budget.can_afford(config.costs.next_cost(e, d))
-            });
-            match affordable {
-                Some((c, e)) => {
-                    let d = steps_done.get(&(c, e)).copied().unwrap_or(0);
-                    let cost = config.costs.next_cost(e, d);
-                    clean_and_record(
-                        env,
-                        c,
-                        e,
-                        cost,
-                        iteration,
-                        &mut budget,
-                        &mut steps_done,
-                        &mut trace,
-                        &mut current_f1,
-                        rng,
-                    )?;
-                    continue;
-                }
-                None => break,
-            }
+        state.push_runtime(started.elapsed());
+        let affordable =
+            |pair: &(usize, ErrorType)| state.budget().can_afford(state.next_cost(config, *pair));
+        let Some(pair) =
+            Some(picked).filter(affordable).or_else(|| dirty.iter().copied().find(affordable))
+        else {
+            break;
+        };
+        let cost = state.next_cost(config, pair);
+        let (ctr, cte) = env.clean_step(pair.0, pair.1, &[], &[], rng)?;
+        if ctr + cte == 0 {
+            continue;
         }
-        clean_and_record(
-            env,
-            col,
-            err,
-            cost,
-            iteration,
-            &mut budget,
-            &mut steps_done,
-            &mut trace,
-            &mut current_f1,
-            rng,
-        )?;
+        state.charge(cost, pair);
+        let f1 = env.evaluate()?;
+        state.accept(f1);
+        state.record(pair, StepAction::Accepted, cost, None, f1, ctr + cte);
+        state.mark_curve();
     }
-    trace.final_f1 = current_f1;
-    Ok(trace)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn clean_and_record<R: Rng>(
-    env: &mut CleaningEnvironment,
-    col: usize,
-    err: ErrorType,
-    cost: f64,
-    iteration: usize,
-    budget: &mut Budget,
-    steps_done: &mut BTreeMap<(usize, ErrorType), usize>,
-    trace: &mut CleaningTrace,
-    current_f1: &mut f64,
-    rng: &mut R,
-) -> Result<(), EnvError> {
-    let (ctr, cte) = env.clean_step(col, err, &[], &[], rng)?;
-    if ctr + cte == 0 {
-        return Ok(());
-    }
-    budget.try_spend(cost);
-    *steps_done.entry((col, err)).or_default() += 1;
-    let f1 = env.evaluate()?;
-    *current_f1 = f1;
-    trace.records.push(StepRecord {
-        iteration,
-        col,
-        err,
-        action: StepAction::Accepted,
-        cost,
-        budget_spent: budget.spent(),
-        predicted_f1: None,
-        raw_predicted_f1: None,
-        actual_f1: f1,
-        cleaned_cells: ctr + cte,
-    });
-    trace.f1_curve.push((budget.spent(), f1));
-    Ok(())
+    Ok(state.finish())
 }
 
 /// Average several traces into one F1-per-budget-unit series (RR runs five
@@ -236,5 +152,101 @@ mod tests {
     #[should_panic(expected = "at least one trace")]
     fn empty_traces_panic() {
         average_traces(&[], 5);
+    }
+}
+
+#[cfg(test)]
+mod golden {
+    use super::test_support::small_env;
+    use crate::{CometLight, FeatureImportanceCleaner, Oracle, RandomCleaner};
+    use comet_core::{CleaningTrace, CometConfig, CostModel, CostPolicy, StepAction};
+    use comet_jenga::ErrorType;
+    use comet_ml::{Algorithm, RandomSearch};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// FNV-1a over every decision of a trace except its predictions: per
+    /// record the iteration, pair, action, cost, `actual_f1` bits and
+    /// cleaned cells, then the F1 curve's bits.
+    fn digest(trace: &CleaningTrace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        for r in &trace.records {
+            eat(r.iteration as u64);
+            eat(r.col as u64);
+            eat(r.err as u64);
+            eat(r.action as u64);
+            eat(r.cost.to_bits());
+            eat(r.actual_f1.to_bits());
+            eat(r.cleaned_cells as u64);
+        }
+        for &(spent, f1) in &trace.f1_curve {
+            eat(spent.to_bits());
+            eat(f1.to_bits());
+        }
+        h
+    }
+
+    #[test]
+    fn baseline_traces_match_golden_digests() {
+        // Recorded when CL ran its own copy of the cleaning loop and the
+        // pick baselines their own step bookkeeping: the shared session
+        // loop must reproduce every decision. CL's runs exercise accepts,
+        // reverts, buffer re-applications and fallbacks; the linear cost
+        // model exercises pricing by step count.
+        let mv = [ErrorType::MissingValues];
+        let linear = CostModel::Linear { initial: 1.0, increment: 1.0 };
+        let cases = [
+            (
+                CostPolicy::constant(),
+                [
+                    0xfc6a_b678_9c25_f002,
+                    0x032b_7f5a_925d_8929,
+                    0x7ef6_133b_ab1a_58a6,
+                    0xa565_3705_c5cf_6656,
+                ],
+            ),
+            (
+                CostPolicy::constant().with_model(ErrorType::MissingValues, linear),
+                [
+                    0x2856_d1ba_5d6a_b7c4,
+                    0xae16_01e3_a7ba_c67a,
+                    0xb036_0d37_02c9_b7ca,
+                    0xcb18_14e8_fcc5_001c,
+                ],
+            ),
+        ];
+        for (costs, want) in cases {
+            let config = CometConfig {
+                budget: 20.0,
+                costs,
+                n_combinations: 1,
+                search: RandomSearch { n_samples: 1, ..RandomSearch::default() },
+                ..CometConfig::default()
+            };
+            let env = small_env(1, vec![(0, 0.3), (1, 0.2), (5, 0.3)], Algorithm::Knn);
+            let rng = || StdRng::seed_from_u64(1);
+            let fir = FeatureImportanceCleaner { n_permutations: 2 };
+            let traces = [
+                CometLight.run(&mut env.clone(), &mv, &config, &mut rng()).unwrap(),
+                RandomCleaner.run(&mut env.clone(), &mv, &config, &mut rng()).unwrap(),
+                fir.run(&mut env.clone(), &mv, &config, &mut rng()).unwrap(),
+                Oracle.run(&mut env.clone(), &mv, &config, &mut rng()).unwrap(),
+            ];
+            for ((trace, want), name) in traces.iter().zip(want).zip(["CL", "RR", "FIR", "Oracle"])
+            {
+                let got = digest(trace);
+                assert_eq!(got, want, "{name} digest {got:#018x} != {want:#018x}");
+            }
+            let actions: Vec<StepAction> = traces[0].records.iter().map(|r| r.action).collect();
+            for action in [StepAction::Reverted, StepAction::BufferApplied, StepAction::Fallback] {
+                assert!(actions.contains(&action), "CL trace lacks {action:?}");
+            }
+        }
     }
 }

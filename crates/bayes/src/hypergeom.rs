@@ -66,12 +66,6 @@ impl Hypergeometric {
         }
         self.draws as f64 * self.successes as f64 / self.population as f64
     }
-
-    /// Probability that *no* already-dirty cell is hit (`k = 0`) — the
-    /// paper's "pollution lands on clean cells" event.
-    pub fn p_all_clean(self) -> f64 {
-        self.pmf(0)
-    }
 }
 
 /// `ln C(n, k)` via log-gamma; 0 for out-of-range `k`.
@@ -134,14 +128,15 @@ mod tests {
         // The paper's claim: with 1% dirt, a 1% pollution step mostly hits
         // clean cells. N=1000, K=10 dirty, n=10 draws.
         let h = Hypergeometric::new(1000, 10, 10);
-        assert!(h.p_all_clean() > 0.90, "p = {}", h.p_all_clean());
+        // `pmf(0)`: no already-dirty cell is hit.
+        assert!(h.pmf(0) > 0.90, "p = {}", h.pmf(0));
         assert!(h.mean() < 0.2);
     }
 
     #[test]
     fn heavy_dirt_often_hit() {
         let h = Hypergeometric::new(100, 80, 10);
-        assert!(h.p_all_clean() < 1e-6);
+        assert!(h.pmf(0) < 1e-6);
         assert_eq!(h.min_k(), 0);
     }
 

@@ -25,9 +25,6 @@ pub struct ExperimentOpts {
     pub out_dir: String,
     /// Quick mode (reduced scale)?
     pub quick: bool,
-    /// Worker-thread override for the parallel engine (`None` = the
-    /// `COMET_THREADS` env var, falling back to the machine's parallelism).
-    pub threads: Option<usize>,
 }
 
 impl Default for ExperimentOpts {
@@ -51,7 +48,6 @@ impl ExperimentOpts {
             rr_repetitions: 3,
             out_dir: "bench_results".into(),
             quick: true,
-            threads: None,
         }
     }
 
@@ -69,7 +65,6 @@ impl ExperimentOpts {
             rr_repetitions: 5,
             out_dir: "bench_results".into(),
             quick: false,
-            threads: None,
         }
     }
 
@@ -88,11 +83,9 @@ impl ExperimentOpts {
                 "--full" => {
                     let out = opts.out_dir.clone();
                     let seed = opts.seed;
-                    let threads = opts.threads;
                     opts = ExperimentOpts::full();
                     opts.out_dir = out;
                     opts.seed = seed;
-                    opts.threads = threads;
                 }
                 "--seed" => {
                     opts.seed = value_of("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
@@ -118,17 +111,9 @@ impl ExperimentOpts {
                 "--out" => {
                     opts.out_dir = value_of("--out")?;
                 }
-                "--threads" => {
-                    let n: usize =
-                        value_of("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    opts.threads = Some(n);
-                }
                 "--help" | "-h" => {
                     return Err("usage: [--quick|--full] [--seed N] [--rows N] [--budget N] \
-                                [--settings N] [--algo NAME] [--out DIR] [--threads N]"
+                                [--settings N] [--algo NAME] [--out DIR]"
                         .into());
                 }
                 other => return Err(format!("unknown argument {other:?}")),
@@ -147,27 +132,15 @@ impl ExperimentOpts {
     }
 
     /// Parse the process arguments, exiting with the usage string on error.
-    /// A `--threads` override is applied to the parallel engine immediately,
-    /// so every experiment binary honours it without extra wiring.
+    /// The worker-thread count comes from `COMET_THREADS` (falling back to
+    /// the machine's parallelism), like every other front end.
     pub fn from_env() -> Self {
         match Self::parse(std::env::args().skip(1)) {
-            Ok(opts) => {
-                opts.apply_threads();
-                opts
-            }
+            Ok(opts) => opts,
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(2);
             }
-        }
-    }
-
-    /// Install the `--threads` override (if any) as the process-global
-    /// worker count. A `None` leaves the `COMET_THREADS` env var (or the
-    /// machine default) in charge.
-    pub fn apply_threads(&self) {
-        if self.threads.is_some() {
-            comet_par::set_global_threads(self.threads);
         }
     }
 
@@ -239,16 +212,6 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--algo", "alexnet"]).is_err());
         assert!(parse(&["--help"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
-    }
-
-    #[test]
-    fn threads_flag_parses_and_survives_full() {
-        assert_eq!(parse(&[]).unwrap().threads, None);
-        assert_eq!(parse(&["--threads", "4"]).unwrap().threads, Some(4));
-        // Like --seed and --out, the override survives a later --full.
-        assert_eq!(parse(&["--threads", "2", "--full"]).unwrap().threads, Some(2));
     }
 
     #[test]

@@ -29,20 +29,6 @@ impl SeriesTable {
         }
     }
 
-    /// New table with an arbitrary index.
-    pub fn with_index(
-        name: impl Into<String>,
-        index_label: impl Into<String>,
-        index: Vec<f64>,
-    ) -> Self {
-        SeriesTable {
-            name: name.into(),
-            index_label: index_label.into(),
-            index,
-            columns: Vec::new(),
-        }
-    }
-
     /// Add a column. Panics on length mismatch.
     pub fn push(&mut self, label: impl Into<String>, series: Vec<f64>) {
         assert_eq!(series.len(), self.index.len(), "series length must match index");

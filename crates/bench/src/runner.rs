@@ -4,7 +4,6 @@
 use crate::opts::ExperimentOpts;
 use comet_baselines::{
     average_traces, ActiveClean, CometLight, FeatureImportanceCleaner, Oracle, RandomCleaner,
-    StrategyConfig,
 };
 use comet_core::{
     CleaningEnvironment, CleaningSession, CleaningTrace, CometConfig, CometError, CostPolicy,
@@ -65,35 +64,28 @@ pub fn run_strategy(
     seed: u64,
 ) -> Result<Vec<CleaningTrace>, CometError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let config = StrategyConfig { budget: opts.budget, costs };
-    match strategy {
-        Strategy::Comet => {
-            let mut env = base.clone();
-            let session = CleaningSession::new(comet_config(opts, costs), errors.to_vec());
-            Ok(vec![session.run(&mut env, &mut rng)?.trace])
-        }
+    let config = comet_config(opts, costs);
+    let trace = match strategy {
         Strategy::Rr => {
-            Ok(RandomCleaner.run_repeated(base, errors, &config, opts.rr_repetitions, &mut rng)?)
+            return RandomCleaner.run_repeated(
+                base,
+                errors,
+                &config,
+                opts.rr_repetitions,
+                &mut rng,
+            );
+        }
+        Strategy::Comet => {
+            CleaningSession::new(config, errors.to_vec()).run(&mut base.clone(), &mut rng)?.trace
         }
         Strategy::Fir => {
-            let mut env = base.clone();
-            let fir = FeatureImportanceCleaner::default();
-            Ok(vec![fir.run(&mut env, errors, &config, &mut rng)?])
+            FeatureImportanceCleaner::default().run(&mut base.clone(), errors, &config, &mut rng)?
         }
-        Strategy::Cl => {
-            let mut env = base.clone();
-            let cl = CometLight::new(comet_config(opts, costs));
-            Ok(vec![cl.run(&mut env, errors, &config, &mut rng)?])
-        }
-        Strategy::Ac => {
-            let mut env = base.clone();
-            Ok(vec![ActiveClean::default().run(&mut env, errors, &config, &mut rng)?])
-        }
-        Strategy::Oracle => {
-            let mut env = base.clone();
-            Ok(vec![Oracle.run(&mut env, errors, &config, &mut rng)?])
-        }
-    }
+        Strategy::Cl => CometLight.run(&mut base.clone(), errors, &config, &mut rng)?,
+        Strategy::Ac => ActiveClean::default().run(&mut base.clone(), errors, &config, &mut rng)?,
+        Strategy::Oracle => Oracle.run(&mut base.clone(), errors, &config, &mut rng)?,
+    };
+    Ok(vec![trace])
 }
 
 /// F1-per-budget-unit series of a strategy run (mean over repetitions).

@@ -66,6 +66,6 @@ pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use metrics::{IterationMetrics, PhaseNanos, RunMetrics, PHASES};
 pub use polluter::{PollutedVariant, Polluter};
 pub use recommender::{Candidate, Recommender};
-pub use session::{CleaningSession, SessionOutcome};
+pub use session::{CleaningSession, SessionOutcome, SessionState};
 pub use setup::{build_paired_env, derive_provenance};
 pub use trace::{CleaningTrace, FailureRecord, StepAction, StepRecord};

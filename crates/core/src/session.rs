@@ -5,6 +5,8 @@
 //! functions that share one [`SessionState`]: candidate estimation,
 //! ranking, cleaning (batch, step by step, then fallback), and the
 //! iteration end (spill health check, metrics, checkpoint, progress).
+//! The baselines book their steps through the same [`SessionState`], and
+//! COMET-Light cleans through [`CleaningSession::clean_ranked`].
 
 use crate::budget::Budget;
 use crate::checkpoint::{
@@ -132,8 +134,11 @@ fn classify(outcome: Result<Result<Estimate, EnvError>, String>) -> Result<Estim
     }
 }
 
-/// Everything the loop carries from one iteration to the next.
-struct SessionState {
+/// Everything the loop carries from one iteration to the next: the budget,
+/// the steps taken per candidate, the accepted F1, the trace, the
+/// Estimator and the Recommender. [`CleaningSession::run`] drives one; a
+/// baseline strategy drives its own and books each step through it.
+pub struct SessionState {
     /// The current outer-loop iteration.
     iteration: usize,
     budget: Budget,
@@ -147,7 +152,9 @@ struct SessionState {
 }
 
 impl SessionState {
-    fn new(config: &CometConfig, env: &CleaningEnvironment) -> Result<Self, CometError> {
+    /// Start a run on `env`: the full budget, no steps taken, and a trace
+    /// opened with the environment's dirty and fully cleaned F1.
+    pub fn new(config: &CometConfig, env: &CleaningEnvironment) -> Result<Self, CometError> {
         let initial_f1 = env.evaluate()?;
         Ok(SessionState {
             iteration: 0,
@@ -164,13 +171,33 @@ impl SessionState {
         })
     }
 
+    /// Stamp the records that follow with `iteration`.
+    pub fn set_iteration(&mut self, iteration: usize) {
+        self.iteration = iteration;
+    }
+
+    /// The cleaning budget.
+    pub fn budget(&self) -> &Budget {
+        &self.budget
+    }
+
+    /// F1 of the accepted data state.
+    pub fn current_f1(&self) -> f64 {
+        self.current_f1
+    }
+
+    /// Make `f1` the accepted data state's F1.
+    pub fn accept(&mut self, f1: f64) {
+        self.current_f1 = f1;
+    }
+
     /// Cost of the next cleaning step on `pair` under `config`'s policy.
-    fn next_cost(&self, config: &CometConfig, pair: (usize, ErrorType)) -> f64 {
+    pub fn next_cost(&self, config: &CometConfig, pair: (usize, ErrorType)) -> f64 {
         config.costs.next_cost(pair.1, self.steps_done.get(&pair).copied().unwrap_or(0))
     }
 
     /// Pay for one cleaning step on `pair`.
-    fn charge(&mut self, cost: f64, pair: (usize, ErrorType)) {
+    pub fn charge(&mut self, cost: f64, pair: (usize, ErrorType)) {
         self.budget.try_spend(cost);
         *self.steps_done.entry(pair).or_default() += 1;
     }
@@ -178,7 +205,7 @@ impl SessionState {
     /// Append a step record, stamped with this iteration and the budget
     /// spent so far. `estimate` is the ranked prediction behind the step
     /// (none for fallback steps).
-    fn record(
+    pub fn record(
         &mut self,
         (col, err): (usize, ErrorType),
         action: StepAction,
@@ -202,8 +229,19 @@ impl SessionState {
     }
 
     /// Add the current `(budget spent, F1)` point to the F1 curve.
-    fn mark_curve(&mut self) {
+    pub fn mark_curve(&mut self) {
         self.trace.f1_curve.push((self.budget.spent(), self.current_f1));
+    }
+
+    /// Record how long one recommendation took (RQ6).
+    pub fn push_runtime(&mut self, elapsed: Duration) {
+        self.trace.iteration_runtimes.push(elapsed);
+    }
+
+    /// Close the trace at the accepted state's F1.
+    pub fn finish(mut self) -> CleaningTrace {
+        self.trace.final_f1 = self.current_f1;
+        self.trace
     }
 
     /// Is `f1` no worse than the accepted state's F1?
@@ -358,7 +396,7 @@ impl CleaningSession {
             let started = Instant::now();
             let estimates = self.estimate(env, &mut state, &pairs, session_seed, &start.clock);
             let ranked = self.rank(&state, estimates, &start.clock);
-            state.trace.iteration_runtimes.push(started.elapsed());
+            state.push_runtime(started.elapsed());
             let progressed = self.clean(env, rng, &mut state, &ranked, &start.clock)?;
             let draws = rng.draws();
             self.end_iteration(env, &state, start, draws, writer.as_mut(), metrics.as_mut())?;
@@ -367,15 +405,16 @@ impl CleaningSession {
             }
         }
 
-        state.trace.final_f1 = state.current_f1;
+        let budget_spent = state.budget.spent();
+        let trace = state.finish();
         let metrics = metrics.map(|mut rm| {
-            rm.initial_f1 = state.trace.initial_f1;
-            rm.final_f1 = state.trace.final_f1;
-            rm.budget_spent = state.budget.spent();
+            rm.initial_f1 = trace.initial_f1;
+            rm.final_f1 = trace.final_f1;
+            rm.budget_spent = budget_spent;
             rm.registry = comet_obs::snapshot();
             rm
         });
-        Ok(SessionOutcome { trace: state.trace, metrics, stop })
+        Ok(SessionOutcome { trace, metrics, stop })
     }
 
     /// Pollute and estimate every dirty candidate. Candidates are
@@ -474,6 +513,20 @@ impl CleaningSession {
         clock.time(&clock.rank, || state.recommender.rank(estimates, &costs))
     }
 
+    /// The clean phase over a ranking the caller made, with the phase
+    /// clock off: the batch (when configured), then the candidates one by
+    /// one, then the fallback. Returns whether a step stuck. COMET-Light
+    /// hands its frozen ranking to this each iteration.
+    pub fn clean_ranked<R: Rng>(
+        &self,
+        env: &mut CleaningEnvironment,
+        rng: &mut R,
+        state: &mut SessionState,
+        ranked: &[Candidate],
+    ) -> Result<bool, CometError> {
+        self.clean(env, rng, state, ranked, &PhaseClock::default())
+    }
+
     /// Execute recommendations until one sticks: the batch (when
     /// configured), then the ranked candidates one by one, then the
     /// fallback. Returns whether the iteration made progress.
@@ -559,7 +612,7 @@ impl CleaningSession {
         }
         let keep = state.improves(f1) || !self.config.revert_on_decrease;
         if keep {
-            state.current_f1 = f1;
+            state.accept(f1);
         } else {
             // Buffer each cleaned column, then revert all.
             for &(cand, _) in &cleaned {
@@ -600,7 +653,7 @@ impl CleaningSession {
                 env.restore(&buffered)?;
                 let f1 = clock.time(&clock.evaluate, || env.evaluate())?;
                 if state.improves(f1) {
-                    state.current_f1 = f1;
+                    state.accept(f1);
                     state.recommender.record_post_clean_f1(est.col, est.err, f1);
                     state.record(pair, StepAction::BufferApplied, 0.0, Some(est), f1, 0);
                     state.mark_curve();
@@ -626,7 +679,7 @@ impl CleaningSession {
             state.recommender.record_post_clean_f1(est.col, est.err, f1);
             let keep = state.improves(f1) || !self.config.revert_on_decrease;
             if keep {
-                state.current_f1 = f1;
+                state.accept(f1);
             } else {
                 let cleaned_state = env.snapshot(est.col)?;
                 env.restore(&pre)?;
@@ -676,7 +729,7 @@ impl CleaningSession {
             }
         };
         let f1 = env.evaluate()?;
-        state.current_f1 = f1;
+        state.accept(f1);
         state.recommender.record_post_clean_f1(col, err, f1);
         state.record((col, err), StepAction::Fallback, cost, None, f1, cells);
         state.mark_curve();

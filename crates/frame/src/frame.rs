@@ -190,42 +190,6 @@ impl DataFrame {
     pub fn missing_cells(&self) -> usize {
         self.feature_indices().into_iter().map(|i| self.columns[i].missing_count()).sum()
     }
-
-    /// Count cells in feature column `col` that differ from the same column
-    /// in `reference` (used to measure residual dirt against ground truth).
-    pub fn diff_count(&self, reference: &DataFrame, col: usize) -> Result<usize> {
-        let a = self.column(col)?;
-        let b = reference.column(col)?;
-        if a.len() != b.len() {
-            return Err(FrameError::LengthMismatch {
-                expected: b.len(),
-                got: a.len(),
-                column: a.name().to_string(),
-            });
-        }
-        let mut count = 0;
-        for row in 0..a.len() {
-            if !cells_equal(a.get(row)?, b.get(row)?) {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
-}
-
-/// Float-tolerant cell equality (1e-12 relative tolerance), used to decide
-/// whether a cell is "dirty" relative to ground truth.
-pub(crate) fn cells_equal(a: Cell, b: Cell) -> bool {
-    match (a, b) {
-        (Cell::Missing, Cell::Missing) => true,
-        (Cell::Num(x), Cell::Num(y)) => {
-            // comet-lint: allow(D2) — tolerance scale over abs values; NaN cells compare unequal earlier
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= 1e-12 * scale
-        }
-        (Cell::Cat(x), Cell::Cat(y)) => x == y,
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -314,25 +278,6 @@ mod tests {
         assert_eq!(sub.get(0, 0).unwrap(), Cell::Num(58.0));
         assert_eq!(sub.label_codes().unwrap(), vec![0, 0]);
         assert_eq!(sub.schema(), df.schema());
-    }
-
-    #[test]
-    fn diff_count_measures_dirt() {
-        let clean = sample();
-        let mut dirty = clean.clone();
-        dirty.set(0, 0, Cell::Num(-1.0)).unwrap();
-        dirty.set(1, 0, Cell::Missing).unwrap();
-        assert_eq!(dirty.diff_count(&clean, 0).unwrap(), 2);
-        assert_eq!(dirty.diff_count(&clean, 1).unwrap(), 0);
-    }
-
-    #[test]
-    fn cells_equal_tolerance() {
-        assert!(cells_equal(Cell::Num(1.0), Cell::Num(1.0 + 1e-15)));
-        assert!(!cells_equal(Cell::Num(1.0), Cell::Num(1.1)));
-        assert!(!cells_equal(Cell::Num(1.0), Cell::Missing));
-        assert!(cells_equal(Cell::Missing, Cell::Missing));
-        assert!(!cells_equal(Cell::Cat(0), Cell::Cat(1)));
     }
 
     #[test]

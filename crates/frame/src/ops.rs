@@ -77,42 +77,6 @@ impl DataFrame {
         let label_name = self.label_index().ok().map(|i| self.schema().fields()[i].name.clone());
         DataFrame::new(columns, label_name.as_deref())
     }
-
-    /// Per-category counts of a categorical column, `(category name, count)`
-    /// sorted by descending count (ties by dictionary order). Missing cells
-    /// are not counted.
-    pub fn value_counts(&self, name: &str) -> Result<Vec<(String, usize)>> {
-        let col = self.column_by_name(name)?;
-        match col.summary() {
-            crate::ColumnSummary::Categorical { counts, .. } => {
-                let mut out: Vec<(String, usize)> =
-                    col.categories().iter().cloned().zip(counts).collect();
-                out.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-                Ok(out)
-            }
-            _ => Err(FrameError::TypeMismatch {
-                column: name.to_string(),
-                expected: "categorical",
-                got: "numeric",
-            }),
-        }
-    }
-
-    /// Apply a function to every valid numeric cell of a column, in place.
-    pub fn map_numeric<F: FnMut(f64) -> f64>(&mut self, name: &str, mut f: F) -> Result<()> {
-        let idx = self.schema().index_of(name)?;
-        if self.label_index().ok() == Some(idx) {
-            return Err(FrameError::InvalidArgument("cannot map the label column".into()));
-        }
-        let nrows = self.nrows();
-        let col = self.column_mut(idx)?;
-        for row in 0..nrows {
-            if let Cell::Num(v) = col.get(row)? {
-                col.set(row, Cell::Num(f(v)))?;
-            }
-        }
-        Ok(())
-    }
 }
 
 fn concat_columns(a: &Column, b: &Column) -> Result<Column> {
@@ -231,26 +195,5 @@ mod tests {
         let df = frame();
         let other = df.select(&["x", "y"]).unwrap();
         assert!(df.vstack(&other).is_err());
-    }
-
-    #[test]
-    fn value_counts_sorted() {
-        let df = frame();
-        let counts = df.value_counts("c").unwrap();
-        assert_eq!(counts[0], ("a".to_string(), 5));
-        assert_eq!(counts[1], ("b".to_string(), 3));
-        assert_eq!(counts[2], ("d".to_string(), 2));
-        assert!(df.value_counts("x").is_err());
-    }
-
-    #[test]
-    fn map_numeric_transforms_valid_cells() {
-        let mut df = frame();
-        df.set(0, 0, Cell::Missing).unwrap();
-        df.map_numeric("x", |v| v * 10.0).unwrap();
-        assert!(df.get(0, 0).unwrap().is_missing(), "missing stays missing");
-        assert_eq!(df.get(1, 0).unwrap(), Cell::Num(10.0));
-        assert!(df.map_numeric("y", |v| v).is_err(), "label is protected");
-        assert!(df.map_numeric("zz", |v| v).is_err());
     }
 }

@@ -14,7 +14,7 @@
 //!   gradients), [`LogisticRegression`], and [`LinearRegressionClassifier`]
 //!   (the LIR model ActiveClean uses, thresholded for classification),
 //! * [`metrics`] — accuracy, binary F1, macro F1 (the paper's prediction-
-//!   accuracy metric), confusion matrices,
+//!   accuracy metric), precision and recall,
 //! * [`RandomSearch`] — the 10-sample random hyperparameter optimization of
 //!   §4.4,
 //! * [`shapley`] — sampling-based permutation Shapley values (SHAP stand-in)
@@ -23,7 +23,6 @@
 //!   ActiveClean's record selection needs.
 
 mod algorithm;
-pub mod cv;
 mod dtree;
 pub mod f32tier;
 mod featurize;
@@ -44,7 +43,6 @@ mod tree;
 mod tune;
 
 pub use algorithm::{Algorithm, HyperParams};
-pub use cv::{cross_val_score, KFold};
 pub use dtree::{DecisionTreeClassifier, DtParams};
 pub use f32tier::{build_f32, ClassifierF32, MatrixF32};
 pub use featurize::{FeatureCache, FeatureCacheStats, FeatureGroup, Featurizer};

@@ -37,17 +37,6 @@ pub fn accuracy(y_true: &[u32], y_pred: &[u32]) -> f64 {
     correct as f64 / y_true.len() as f64
 }
 
-/// Confusion matrix `c[true][pred]`, row-major `n_classes × n_classes`.
-pub fn confusion_matrix(y_true: &[u32], y_pred: &[u32], n_classes: usize) -> Vec<usize> {
-    assert_eq!(y_true.len(), y_pred.len(), "length mismatch");
-    let mut m = vec![0usize; n_classes * n_classes];
-    for (&t, &p) in y_true.iter().zip(y_pred) {
-        assert!((t as usize) < n_classes && (p as usize) < n_classes, "label out of range");
-        m[t as usize * n_classes + p as usize] += 1;
-    }
-    m
-}
-
 /// True when the ground truth collapsed to one class — a pathological
 /// pollution can wipe out a class entirely. The metrics below still return
 /// defined values there (never NaN), but the event is worth counting:
@@ -123,66 +112,6 @@ pub fn recall(y_true: &[u32], y_pred: &[u32], positive: u32) -> f64 {
     }
 }
 
-/// Balanced accuracy: unweighted mean of per-class recalls (classes absent
-/// from the labels are skipped).
-pub fn balanced_accuracy(y_true: &[u32], y_pred: &[u32], n_classes: usize) -> f64 {
-    assert!(n_classes > 0, "need at least one class");
-    let mut total = 0.0;
-    let mut present = 0usize;
-    for c in 0..n_classes as u32 {
-        if y_true.contains(&c) {
-            total += recall(y_true, y_pred, c);
-            present += 1;
-        }
-    }
-    if present == 0 {
-        0.0
-    } else {
-        total / present as f64
-    }
-}
-
-/// Area under the ROC curve for binary labels, from real-valued scores of
-/// the positive class (Mann–Whitney formulation: the probability a random
-/// positive outscores a random negative, ties counting ½).
-///
-/// Returns 0.5 when one class is absent (no ranking information); that
-/// single-class case also bumps the `metrics.single_class` counter.
-pub fn roc_auc(y_true: &[u32], scores: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), scores.len(), "length mismatch");
-    note_single_class(y_true);
-    // `total_cmp` over a NaN-sanitized key, not `partial_cmp(..).expect(..)`:
-    // a degenerate model (all-equal features, zero-variance fit) can emit a
-    // NaN score, and computing a metric must not panic mid-session. NaN maps
-    // to -∞ — "no confidence in the positive class" — so such entries rank
-    // below every real score, the same convention `Recommender::rank` uses.
-    let key = |i: usize| if scores[i].is_nan() { f64::NEG_INFINITY } else { scores[i] };
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
-    // Rank with tie-averaging (over the sanitized key, so NaNs tie with
-    // each other instead of comparing unequal to themselves).
-    let mut ranks = vec![0.0; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && key(order[j + 1]) == key(order[i]) {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = avg_rank;
-        }
-        i = j + 1;
-    }
-    let n_pos = y_true.iter().filter(|&&t| t == 1).count();
-    let n_neg = y_true.len() - n_pos;
-    if n_pos == 0 || n_neg == 0 {
-        return 0.5;
-    }
-    let rank_sum: f64 = y_true.iter().zip(&ranks).filter(|&(&t, _)| t == 1).map(|(_, &r)| r).sum();
-    (rank_sum - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0) / (n_pos as f64 * n_neg as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,21 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_layout() {
-        let m = confusion_matrix(&[0, 1, 1, 0], &[0, 1, 0, 1], 2);
-        assert_eq!(m, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         accuracy(&[1], &[1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn label_out_of_range_panics() {
-        confusion_matrix(&[5], &[0], 2);
     }
 
     #[test]
@@ -265,62 +182,20 @@ mod tests {
     }
 
     #[test]
-    fn balanced_accuracy_weights_classes_equally() {
-        // Class 0: 3 of 3 correct; class 1: 0 of 1 correct → (1 + 0)/2.
-        let y_true = [0, 0, 0, 1];
-        let y_pred = [0, 0, 0, 0];
-        assert!((balanced_accuracy(&y_true, &y_pred, 2) - 0.5).abs() < 1e-12);
-        // Plain accuracy would be 0.75 — balanced accuracy resists imbalance.
-        assert_eq!(accuracy(&y_true, &y_pred), 0.75);
-        // Absent classes are skipped.
-        assert_eq!(balanced_accuracy(&[0, 0], &[0, 0], 3), 1.0);
-    }
-
-    #[test]
-    fn roc_auc_perfect_and_random() {
-        let y = [0, 0, 1, 1];
-        assert_eq!(roc_auc(&y, &[0.1, 0.2, 0.8, 0.9]), 1.0);
-        assert_eq!(roc_auc(&y, &[0.9, 0.8, 0.2, 0.1]), 0.0);
-        // All scores equal → ties give 0.5.
-        assert_eq!(roc_auc(&y, &[0.5, 0.5, 0.5, 0.5]), 0.5);
-        // One class absent → 0.5 by convention.
-        assert_eq!(roc_auc(&[1, 1], &[0.2, 0.9]), 0.5);
-    }
-
-    #[test]
-    fn roc_auc_nan_scores_do_not_panic() {
-        // Regression: a single NaN score used to panic the
-        // `partial_cmp(..).expect("finite scores")` sort mid-session.
-        let y = [0, 0, 1, 1];
-        let auc = roc_auc(&y, &[0.1, f64::NAN, 0.8, 0.9]);
-        assert!((0.0..=1.0).contains(&auc), "auc {auc}");
-        // NaN ranks below every real score: here the NaN sits on a negative,
-        // so the ranking is still perfect.
-        assert_eq!(auc, 1.0);
-        // NaN on a positive ranks that positive below both negatives:
-        // pairs won = (0.9 beats both negatives) = 2 of 4 → 0.5.
-        assert_eq!(roc_auc(&y, &[0.1, 0.2, f64::NAN, 0.9]), 0.5);
-        // All-NaN scores carry no ranking information → ties everywhere.
-        assert_eq!(roc_auc(&y, &[f64::NAN; 4]), 0.5);
-    }
-
-    #[test]
     fn single_class_ground_truth_is_defined_and_counted() {
-        // All-one-class ground truth: both metrics must return defined
-        // values (no NaN) and count the event while recording is on.
+        // All-one-class ground truth: F1 must return defined values (no
+        // NaN) and count the event while recording is on.
         comet_obs::set_enabled(true);
         let before = comet_obs::snapshot().counter("metrics.single_class");
         let f1_all_pos = f1_binary(&[1, 1, 1], &[1, 0, 1], 1);
         let f1_all_neg = f1_binary(&[0, 0, 0], &[1, 0, 1], 1);
-        let auc = roc_auc(&[1, 1, 1], &[0.2, 0.5, 0.9]);
         let after = comet_obs::snapshot().counter("metrics.single_class");
         comet_obs::set_enabled(false);
         assert!(f1_all_pos.is_finite() && (0.0..=1.0).contains(&f1_all_pos));
         assert_eq!(f1_all_neg, 0.0);
-        assert_eq!(auc, 0.5);
         // Concurrent tests may also bump the counter, so assert growth by
-        // at least the three single-class calls above.
-        assert!(after >= before + 3, "counter {before} -> {after}");
+        // at least the two single-class calls above.
+        assert!(after >= before + 2, "counter {before} -> {after}");
     }
 
     #[test]
@@ -328,15 +203,12 @@ mod tests {
         // Detector scoring and pathological splits can hand every metric an
         // empty vector; each must return a defined (finite) value.
         let empty: [u32; 0] = [];
-        let scores: [f64; 0] = [];
         for v in [
             accuracy(&empty, &empty),
             f1_binary(&empty, &empty, 1),
             f1_macro(&empty, &empty, 2),
             precision(&empty, &empty, 1),
             recall(&empty, &empty, 1),
-            balanced_accuracy(&empty, &empty, 2),
-            roc_auc(&empty, &scores),
             Metric::F1.eval(&empty, &empty, 2),
             Metric::Accuracy.eval(&empty, &empty, 2),
         ] {
@@ -356,14 +228,5 @@ mod tests {
         assert!(p.is_finite() && (0.0..=1.0).contains(&p));
         assert!(r.is_finite() && (0.0..=1.0).contains(&r));
         assert!(after >= before + 2, "counter {before} -> {after}");
-    }
-
-    #[test]
-    fn roc_auc_hand_computed() {
-        // Scores: pos {0.9, 0.4}, neg {0.5, 0.3}. Pairs won: (0.9>0.5),
-        // (0.9>0.3), (0.4<0.5 lose), (0.4>0.3) → 3/4.
-        let y = [1, 0, 1, 0];
-        let s = [0.9, 0.5, 0.4, 0.3];
-        assert!((roc_auc(&y, &s) - 0.75).abs() < 1e-12);
     }
 }

@@ -304,11 +304,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so they never split a multi-byte scalar,
+                // and each byte is validated once, which keeps a long
+                // string (an upload carries a whole CSV) linear to parse.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run]);
+                out.push_str(text.map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -458,6 +464,21 @@ mod tests {
         }
         assert_eq!(JsonValue::Num(f64::NAN).to_string(), "null");
         assert_eq!(JsonValue::Num(3.0).to_string(), "3");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string value, like a CSV in an upload frame. Validating
+        // the rest of the document once per character takes minutes here;
+        // one pass takes milliseconds.
+        let long = "héllo, \"wörld\"\n".repeat(1 << 16);
+        let mut obj = JsonObject::new();
+        obj.field_str("csv", &long);
+        let doc = obj.finish();
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        assert!(started.elapsed().as_secs_f64() < 2.0, "took {:?}", started.elapsed());
+        assert_eq!(parsed.get("csv").unwrap().as_str(), Some(long.as_str()));
     }
 
     #[test]

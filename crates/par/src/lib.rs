@@ -19,22 +19,14 @@
 //!
 //! 1. a scoped override installed by [`with_threads`] (inherited by
 //!    workers for the duration of their fan-out),
-//! 2. a process-wide override set by [`set_global_threads`] (CLI
-//!    `--threads` flags),
-//! 3. the `COMET_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `COMET_THREADS` environment variable,
+//! 3. [`std::thread::available_parallelism`].
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Unset sentinel for the global override.
-const UNSET: usize = usize::MAX;
-
-/// Process-wide thread-count override (0 or UNSET = unset).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(UNSET);
 
 /// Workers currently spawned by every in-flight [`par_map`] in the
 /// process; bounds nested fan-out.
@@ -43,12 +35,6 @@ static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Scoped override installed by [`with_threads`] / worker inheritance.
     static LOCAL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Set (or with `None` clear) the process-wide thread-count override.
-/// `Some(1)` forces every subsequent [`par_map`] sequential.
-pub fn set_global_threads(threads: Option<usize>) {
-    GLOBAL_THREADS.store(threads.map_or(UNSET, |t| t.max(1)), Ordering::SeqCst);
 }
 
 /// Run `f` with the calling thread's thread count forced to `threads`.
@@ -69,10 +55,6 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 pub fn max_threads() -> usize {
     if let Some(t) = LOCAL_THREADS.with(Cell::get) {
         return t.max(1);
-    }
-    let global = GLOBAL_THREADS.load(Ordering::SeqCst);
-    if global != UNSET && global != 0 {
-        return global;
     }
     if let Ok(value) = std::env::var("COMET_THREADS") {
         if let Ok(t) = value.trim().parse::<usize>() {
@@ -324,27 +306,6 @@ where
     })
 }
 
-/// [`par_map`] over `0..len`, for callers that index shared state instead
-/// of moving items.
-pub fn par_map_indexed<U, F>(len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_map((0..len).collect(), f)
-}
-
-/// Fold [`par_map`] results in input order (deterministic reduction).
-pub fn par_map_reduce<T, U, A, F, G>(items: Vec<T>, init: A, f: F, fold: G) -> A
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-    G: FnMut(A, U) -> A,
-{
-    par_map(items, f).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,24 +397,10 @@ mod tests {
     #[test]
     fn with_threads_restores_previous_value() {
         let _budget = shared_budget();
-        // All assertions nest inside a local override so concurrent tests
-        // touching the global override cannot interfere.
         with_threads(3, || {
             assert_eq!(max_threads(), 3);
             with_threads(5, || assert_eq!(max_threads(), 5));
             assert_eq!(max_threads(), 3);
-        });
-    }
-
-    #[test]
-    fn local_override_wins_over_global() {
-        let _budget = shared_budget();
-        // The global override is process-wide shared state; only observe it
-        // from under a local override to stay race-free with other tests.
-        with_threads(6, || {
-            set_global_threads(Some(2));
-            assert_eq!(max_threads(), 6);
-            set_global_threads(None);
         });
     }
 
@@ -505,16 +452,6 @@ mod tests {
         let out = par_map_with(Vec::<u8>::new(), || inits.fetch_add(1, Ordering::SeqCst), |_, x| x);
         assert_eq!(out, Vec::<u8>::new());
         assert_eq!(inits.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn indexed_and_reduce_helpers() {
-        let _budget = shared_budget();
-        let doubled = with_threads(4, || par_map_indexed(10, |i| i * 2));
-        assert_eq!(doubled, (0..10).map(|i| i * 2).collect::<Vec<usize>>());
-        let total =
-            par_map_reduce((1..=10).collect::<Vec<u64>>(), 0u64, |x| x * x, |acc, v| acc + v);
-        assert_eq!(total, 385);
     }
 
     /// The obs enable flag is process-global; the two metrics tests take

@@ -404,9 +404,27 @@ fn cmd_start(inner: &Inner, request: &JsonValue) -> String {
         );
     }
     let budget = request.get("budget").and_then(JsonValue::as_f64).unwrap_or(20.0);
-    let seed = request.get("seed").and_then(JsonValue::as_f64).unwrap_or(42.0) as u64;
+    // JSON numbers arrive as f64, so `as u64` would silently round,
+    // truncate or saturate. A seed must be whole and below 2^53 (strictly:
+    // 2^53 + 1 already arrives as 2^53); a deadline must be whole.
+    let whole = |key: &str, below: f64| match request.get(key).and_then(JsonValue::as_f64) {
+        Some(v) if !(v >= 0.0 && v < below && v.fract() == 0.0) => Err(protocol::error_response(
+            kind::INVALID,
+            &format!("{key} must be a whole number in [0, {below})"),
+            false,
+            None,
+        )),
+        v => Ok(v.map(|v| v as u64)),
+    };
+    let seed = match whole("seed", 9_007_199_254_740_992.0) {
+        Ok(seed) => seed.unwrap_or(42),
+        Err(refusal) => return refusal,
+    };
+    let deadline_ms = match whole("deadline_ms", f64::INFINITY) {
+        Ok(ms) => ms,
+        Err(refusal) => return refusal,
+    };
     let detect = matches!(request.get("detect"), Some(JsonValue::Bool(true)));
-    let deadline_ms = request.get("deadline_ms").and_then(JsonValue::as_f64).map(|v| v as u64);
     if !budget.is_finite() || budget <= 0.0 {
         return protocol::error_response(kind::INVALID, "budget must be positive", false, None);
     }

@@ -217,6 +217,46 @@ fn deeply_nested_frame_is_a_typed_invalid_not_an_abort() {
 }
 
 #[test]
+fn start_refuses_seeds_and_deadlines_it_cannot_store_exactly() {
+    // JSON numbers are f64s: 2^53 + 1 arrives as 2^53, and a cast to u64
+    // silently rounds 1.5, clamps -5 and saturates 1e300. Each must be a
+    // typed `invalid` naming its field instead.
+    let root = temp_root("start_numbers");
+    let daemon = start_daemon(&root, 1, 4, Arc::new(ServeFaultPlan::default()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    let start = |field: &str, value: &str| {
+        format!(
+            "{{\"cmd\":\"start\",\"dirty\":\"0000000000000000\",\"label\":\"y\",\"{field}\":{value}}}"
+        )
+    };
+    let bad = [
+        ("seed", "-5"),
+        ("seed", "1.5"),
+        ("seed", "1e300"),
+        ("seed", "9007199254740993"),
+        ("deadline_ms", "-1"),
+    ];
+    for (field, value) in bad {
+        match client.request_ok(&start(field, value)) {
+            Err(comet_serve::client::ClientError::Server(e)) => {
+                assert_eq!(e.kind, kind::INVALID, "{field}={value}: {}", e.message);
+                assert!(e.message.contains(field), "{field}={value}: {}", e.message);
+            }
+            other => panic!("{field}={value}: expected invalid, got {other:?}"),
+        }
+    }
+    // 2^53 - 1 is exact, so it passes validation and fails on the missing
+    // dataset instead.
+    match client.request_ok(&start("seed", "9007199254740991")) {
+        Err(comet_serve::client::ClientError::Server(e)) => assert_eq!(e.kind, kind::NOT_FOUND),
+        other => panic!("expected not-found, got {other:?}"),
+    }
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn admission_rejects_under_pressure_and_recovers_after_cancel() {
     let root = temp_root("admission");
     // One worker, one queue slot, and a long-running-session simulator

@@ -14,7 +14,7 @@
 //! We run COMET and a naive random strategy on identical copies of the mess
 //! and compare what each achieves with the same 15-unit budget.
 
-use comet::baselines::{RandomCleaner, StrategyConfig};
+use comet::baselines::RandomCleaner;
 use comet::core::{CleaningEnvironment, CleaningSession, CometConfig, CostPolicy};
 use comet::datasets::Dataset;
 use comet::frame::{train_test_split, SplitOptions};
@@ -95,9 +95,8 @@ fn main() {
     }
 
     // --- Random triage for comparison, averaged over 3 runs ---
-    let strategy_config = StrategyConfig { budget: BUDGET, costs };
     let traces = RandomCleaner
-        .run_repeated(&env, &ErrorType::ALL, &strategy_config, 3, &mut rng)
+        .run_repeated(&env, &ErrorType::ALL, session.config(), 3, &mut rng)
         .expect("RR runs");
     let rr_final = traces.iter().map(|t| t.final_f1).sum::<f64>() / traces.len() as f64;
 

@@ -10,8 +10,8 @@
 //! COMET and the Shapley-based FIR baseline the same dirty copy and budget,
 //! and compare their F1-per-budget trajectories.
 
-use comet::baselines::{FeatureImportanceCleaner, StrategyConfig};
-use comet::core::{CleaningEnvironment, CleaningSession, CometConfig, CostPolicy};
+use comet::baselines::FeatureImportanceCleaner;
+use comet::core::{CleaningEnvironment, CleaningSession, CometConfig};
 use comet::datasets::Dataset;
 use comet::frame::{train_test_split, SplitOptions};
 use comet::jenga::{ErrorType, GroundTruth, Provenance};
@@ -85,12 +85,7 @@ fn main() {
     let fir = FeatureImportanceCleaner::default();
     let mut fir_env = env.clone();
     let fir_trace = fir
-        .run(
-            &mut fir_env,
-            &[ErrorType::MissingValues],
-            &StrategyConfig { budget: BUDGET, costs: CostPolicy::constant() },
-            &mut rng,
-        )
+        .run(&mut fir_env, &[ErrorType::MissingValues], session.config(), &mut rng)
         .expect("FIR run");
 
     println!("{:>8}{:>10}{:>10}{:>12}", "budget", "COMET", "FIR", "advantage");

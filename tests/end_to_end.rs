@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full COMET pipeline from dataset
 //! generation through pollution, tuning, cleaning sessions and baselines.
 
-use comet::baselines::{ActiveClean, Oracle, RandomCleaner, StrategyConfig};
+use comet::baselines::{ActiveClean, Oracle, RandomCleaner};
 use comet::core::{CleaningEnvironment, CleaningSession, CometConfig, CostPolicy, StepAction};
 use comet::datasets::Dataset;
 use comet::frame::{train_test_split, SplitOptions};
@@ -164,7 +164,8 @@ fn comet_vs_random_on_concentrated_dirt() {
         let trace = session.run(&mut comet_env, &mut rng).unwrap().trace;
         comet_score += trace.f1_series(10).iter().sum::<f64>();
 
-        let config = StrategyConfig { budget: 10.0, costs: CostPolicy::constant() };
+        let config =
+            CometConfig { budget: 10.0, costs: CostPolicy::constant(), ..CometConfig::default() };
         let traces = RandomCleaner
             .run_repeated(&env, &[ErrorType::MissingValues], &config, 2, &mut rng)
             .unwrap();
@@ -185,7 +186,8 @@ fn oracle_and_activeclean_share_environment_semantics() {
         240,
         7,
     );
-    let config = StrategyConfig { budget: 5.0, costs: CostPolicy::constant() };
+    let config =
+        CometConfig { budget: 5.0, costs: CostPolicy::constant(), ..CometConfig::default() };
     let mut rng = StdRng::seed_from_u64(8);
 
     let mut oracle_env = env.clone();
