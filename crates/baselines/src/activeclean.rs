@@ -94,7 +94,10 @@ impl ActiveClean {
             let featurizer = Featurizer::fit(env.train())?;
             let x = featurizer.transform(env.train())?;
             let y = env.train().label_codes()?;
-            let clean_rows = self.clean_train_rows(env)?;
+            let (dirty_train, _) = dirty_rows(env)?;
+            let clean_rows: Vec<usize> = (0..env.train().nrows())
+                .filter(|r| dirty_train.binary_search(r).is_err())
+                .collect();
             if clean_rows.is_empty() {
                 glm.fit(&x, &y, env.n_classes(), rng);
             } else {
@@ -108,8 +111,7 @@ impl ActiveClean {
             if budget.exhausted() {
                 break;
             }
-            let dirty_train = self.dirty_train_rows(env)?;
-            let dirty_test = self.dirty_test_rows(env)?;
+            let (dirty_train, dirty_test) = dirty_rows(env)?;
             if dirty_train.is_empty() && dirty_test.is_empty() {
                 break;
             }
@@ -190,45 +192,6 @@ impl ActiveClean {
         Ok(trace)
     }
 
-    /// Training rows with no dirty cell in any feature.
-    fn clean_train_rows(&self, env: &CleaningEnvironment) -> Result<Vec<usize>, EnvError> {
-        let n = env.train().nrows();
-        let mut dirty = vec![false; n];
-        for col in env.feature_cols() {
-            let (train_rows, _) = env.gt_dirty_rows(col)?;
-            for r in train_rows {
-                dirty[r] = true;
-            }
-        }
-        Ok((0..n).filter(|&r| !dirty[r]).collect())
-    }
-
-    /// Training rows with at least one dirty cell.
-    fn dirty_train_rows(&self, env: &CleaningEnvironment) -> Result<Vec<usize>, EnvError> {
-        let n = env.train().nrows();
-        let mut dirty = vec![false; n];
-        for col in env.feature_cols() {
-            let (train_rows, _) = env.gt_dirty_rows(col)?;
-            for r in train_rows {
-                dirty[r] = true;
-            }
-        }
-        Ok((0..n).filter(|&r| dirty[r]).collect())
-    }
-
-    /// Test rows with at least one dirty cell.
-    fn dirty_test_rows(&self, env: &CleaningEnvironment) -> Result<Vec<usize>, EnvError> {
-        let n = env.test().nrows();
-        let mut dirty = vec![false; n];
-        for col in env.feature_cols() {
-            let (_, test_rows) = env.gt_dirty_rows(col)?;
-            for r in test_rows {
-                dirty[r] = true;
-            }
-        }
-        Ok((0..n).filter(|&r| dirty[r]).collect())
-    }
-
     /// Distinct error types among the cells the batch will clean.
     fn batch_error_types(
         &self,
@@ -284,6 +247,24 @@ impl ActiveClean {
             weighted / total as f64
         }
     }
+}
+
+/// Rows with a ground-truth dirty cell in any feature, per split
+/// (train, test), ascending: one scan of the ground truth.
+fn dirty_rows(env: &CleaningEnvironment) -> Result<(Vec<usize>, Vec<usize>), EnvError> {
+    let mut train = vec![false; env.train().nrows()];
+    let mut test = vec![false; env.test().nrows()];
+    for col in env.feature_cols() {
+        let (train_rows, test_rows) = env.gt_dirty_rows(col)?;
+        for r in train_rows {
+            train[r] = true;
+        }
+        for r in test_rows {
+            test[r] = true;
+        }
+    }
+    let rows = |dirty: Vec<bool>| (0..dirty.len()).filter(|&r| dirty[r]).collect();
+    Ok((rows(train), rows(test)))
 }
 
 /// Sample `k` distinct items from `pool` with probability proportional to

@@ -87,16 +87,12 @@ impl CometLight {
 mod tests {
     use super::*;
     use crate::strategy::test_support::small_env;
-    use comet_ml::{Algorithm, RandomSearch};
+    use comet_ml::Algorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn quick_comet() -> CometConfig {
-        CometConfig {
-            n_combinations: 1,
-            search: RandomSearch { n_samples: 1, ..RandomSearch::default() },
-            ..CometConfig::default()
-        }
+        CometConfig { n_combinations: 1, ..CometConfig::default() }
     }
 
     #[test]

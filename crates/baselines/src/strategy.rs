@@ -161,7 +161,7 @@ mod golden {
     use crate::{CometLight, FeatureImportanceCleaner, Oracle, RandomCleaner};
     use comet_core::{CleaningTrace, CometConfig, CostModel, CostPolicy, StepAction};
     use comet_jenga::ErrorType;
-    use comet_ml::{Algorithm, RandomSearch};
+    use comet_ml::Algorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -222,13 +222,8 @@ mod golden {
             ),
         ];
         for (costs, want) in cases {
-            let config = CometConfig {
-                budget: 20.0,
-                costs,
-                n_combinations: 1,
-                search: RandomSearch { n_samples: 1, ..RandomSearch::default() },
-                ..CometConfig::default()
-            };
+            let config =
+                CometConfig { budget: 20.0, costs, n_combinations: 1, ..CometConfig::default() };
             let env = small_env(1, vec![(0, 0.3), (1, 0.2), (5, 0.3)], Algorithm::Knn);
             let rng = || StdRng::seed_from_u64(1);
             let fir = FeatureImportanceCleaner { n_permutations: 2 };

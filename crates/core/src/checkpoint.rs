@@ -11,7 +11,7 @@
 //! [`CometError::Checkpoint`], never a silently different result.
 //!
 //! The first line is the header,
-//! `{"kind":"checkpoint_header","version":2,"identity":{…}}`: the run's
+//! `{"kind":"checkpoint_header","version":3,"identity":{…}}`: the run's
 //! whole [`SessionIdentity`]. A resume compares it field by field with the
 //! resuming session's and names every mismatch in one error.
 //!
@@ -20,9 +20,10 @@
 //! only carries 53 bits.
 
 use crate::config::CometConfig;
-use crate::env::CleaningEnvironment;
+use crate::env::{CleaningEnvironment, ModelSpec};
 use crate::error::CometError;
 use crate::faults::FaultPlan;
+use crate::session::MAX_RETRIES;
 use crate::trace::CleaningTrace;
 use comet_jenga::ErrorType;
 use comet_obs::json::{self, JsonObject, JsonValue};
@@ -34,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The header format this build writes, and the only one it reads.
-const HEADER_VERSION: u64 = 2;
+const HEADER_VERSION: u64 = 3;
 
 /// Where a session persists its progress, and whether to resume from an
 /// existing file first.
@@ -60,34 +61,46 @@ fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Everything that must match for a checkpoint to be resumable, as
 /// `(field name, canonical string)` entries: the session seed (16-digit
-/// hex), the candidate error set, and every [`CometConfig`] field by its
-/// derived `Debug` — the kernel tier, probe precision, detector setup and
-/// segment size included, since each one shapes the trace or the cache.
+/// hex), the candidate error set, every [`CometConfig`] field, and the
+/// environment's evaluation settings — algorithm, tuned hyperparameters,
+/// metric, evaluation seed and step sizes — each by its derived `Debug`.
+/// The environment's entries matter because the preloaded evaluation
+/// cache is keyed by frame content only: it cannot tell two models apart.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionIdentity(BTreeMap<String, String>);
 
-/// `(field name, Debug)` of each listed [`CometConfig`] field. The
-/// destructuring pattern has no `..`: a config field missing from the list
-/// is a compile error, so no field can escape the identity.
-macro_rules! config_entries {
-    ($config:expr; $($field:ident),* $(,)?) => {{
-        let CometConfig { $($field),* } = $config;
+/// `(field name, Debug)` of each listed field of a `$ty`. The
+/// destructuring pattern has no `..`: a field missing from the list is a
+/// compile error, so no field can escape the identity.
+macro_rules! entries {
+    ($ty:ident, $value:expr; $($field:ident),* $(,)?) => {{
+        let $ty { $($field),* } = $value;
         [$((stringify!($field), format!("{:?}", $field))),*]
     }};
 }
 
 impl SessionIdentity {
-    pub(crate) fn new(session_seed: u64, errors: &[ErrorType], config: &CometConfig) -> Self {
-        let config = config_entries!(config;
-            step_frac, pollution_steps, n_combinations, metric, budget, costs, interval,
-            blr_degree, search, eval_seed, use_uncertainty, bias_correction,
-            revert_on_decrease, fallback, batch_size, max_retries, kernels, f32_probes,
-            detect, segment_rows,
+    pub(crate) fn new(
+        session_seed: u64,
+        errors: &[ErrorType],
+        config: &CometConfig,
+        env: &CleaningEnvironment,
+    ) -> Self {
+        let config = entries!(CometConfig, config;
+            pollution_steps, n_combinations, budget, costs, interval, blr_degree,
+            use_uncertainty, bias_correction, revert_on_decrease, fallback, kernels,
+            f32_probes, detect, segment_rows,
         );
+        let model = entries!(ModelSpec, env.model(); algorithm, params);
+        let evaluation = [
+            ("metric", format!("{:?}", env.metric())),
+            ("eval_seed", format!("{:?}", env.eval_seed())),
+            ("step_train", format!("{:?}", env.step_train())),
+            ("step_test", format!("{:?}", env.step_test())),
+        ];
         let session = [("session_seed", hex_u64(session_seed)), ("errors", format!("{errors:?}"))];
-        SessionIdentity(
-            session.into_iter().chain(config).map(|(k, v)| (k.to_string(), v)).collect(),
-        )
+        let entries = session.into_iter().chain(config).chain(model).chain(evaluation);
+        SessionIdentity(entries.map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     fn to_json(&self) -> String {
@@ -266,8 +279,8 @@ impl CheckpointWriter {
             let mismatches = identity.mismatches(&data.identity);
             if !mismatches.is_empty() {
                 return Err(CometError::Checkpoint(format!(
-                    "refusing to resume: the session identity (seed, candidate errors and \
-                     config) differs from the checkpoint's in {}",
+                    "refusing to resume: the session identity (seed, candidate errors, \
+                     config and evaluation settings) differs from the checkpoint's in {}",
                     mismatches.join(", ")
                 )));
             }
@@ -369,13 +382,12 @@ impl CheckpointWriter {
     /// (when resuming), then persist it with the cache entries it added.
     /// Checkpoint I/O faults are often transient (full disk freed, volume
     /// reattached), so a failed write is retried in place up to
-    /// `max_retries` times. Retries consume no randomness, so a recovered
+    /// `MAX_RETRIES` times. Retries consume no randomness, so a recovered
     /// write leaves the trace bit-identical to an undisturbed run.
     pub fn commit(
         &mut self,
         record: &IterationCheckpoint,
         cache_entries: &[(u64, u64, f64)],
-        max_retries: usize,
     ) -> Result<(), CometError> {
         if let Some(stored) = self.replay.get(record.iteration) {
             if stored != record {
@@ -389,7 +401,7 @@ impl CheckpointWriter {
         loop {
             let Err(e) = self.write_iteration(record, cache_entries) else { return Ok(()) };
             comet_obs::counter_add("fault.checkpoint_write_errors", 1);
-            if attempt >= max_retries {
+            if attempt >= MAX_RETRIES {
                 return Err(e);
             }
             attempt += 1;
@@ -506,8 +518,14 @@ mod tests {
     }
 
     fn identity() -> SessionIdentity {
+        let mut rng = StdRng::seed_from_u64(3);
+        let df = comet_datasets::Dataset::Eeg.generate(Some(60), &mut rng);
+        let search = comet_ml::RandomSearch { n_samples: 1, ..Default::default() };
+        let algorithm = comet_ml::Algorithm::Knn;
+        let env = crate::setup::build_paired_env(df, None, algorithm, 0.05, search, 7, 0, &mut rng)
+            .unwrap();
         let config = CometConfig { segment_rows: 1024, ..CometConfig::default() };
-        SessionIdentity::new(0xDEAD_BEEF_CAFE_F00D, &[ErrorType::MissingValues], &config)
+        SessionIdentity::new(0xDEAD_BEEF_CAFE_F00D, &[ErrorType::MissingValues], &config, &env)
     }
 
     #[test]
@@ -543,8 +561,12 @@ mod tests {
         // The header is one line holding the whole identity.
         let text = std::fs::read_to_string(&path).unwrap();
         let header = json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(header.get("version").and_then(JsonValue::as_f64), Some(2.0));
-        assert_eq!(header.get("identity").and_then(JsonValue::as_obj).unwrap().len(), 22);
+        assert_eq!(header.get("version").and_then(JsonValue::as_f64), Some(3.0));
+        let recorded = header.get("identity").and_then(JsonValue::as_obj).unwrap();
+        assert_eq!(recorded.len(), 22);
+        let entry = |key: &str| recorded.iter().find(|(k, _)| k == key).unwrap().1.as_str();
+        assert_eq!(entry("algorithm"), Some("Knn"));
+        assert_eq!(entry("eval_seed"), Some("7"), "the seed the environment evaluates with");
         std::fs::remove_file(path).ok();
     }
 
@@ -662,10 +684,11 @@ mod tests {
     }
 
     #[test]
-    fn version_1_headers_are_refused() {
+    fn older_header_versions_are_refused() {
         // Version-1 headers carried per-setting fields instead of the
-        // identity; they are refused by version, never read with defaults.
-        let path = temp_path("version_1.jsonl");
+        // identity, and version-2 identities lacked the environment's
+        // model; both are refused by version, never read with defaults.
+        let path = temp_path("old_versions.jsonl");
         std::fs::write(
             &path,
             "{\"kind\":\"checkpoint_header\",\"version\":1,\
@@ -677,8 +700,18 @@ mod tests {
         assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("version 1"), "{err}");
 
-        // A version-2 header without an identity is corruption.
-        std::fs::write(&path, "{\"kind\":\"checkpoint_header\",\"version\":2}\n").unwrap();
+        let v2 = identity().to_json();
+        std::fs::write(
+            &path,
+            format!("{{\"kind\":\"checkpoint_header\",\"version\":2,\"identity\":{v2}}}\n"),
+        )
+        .unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("version 2"), "{err}");
+
+        // A current header without an identity is corruption.
+        std::fs::write(&path, "{\"kind\":\"checkpoint_header\",\"version\":3}\n").unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("identity"), "{err}");
         std::fs::remove_file(path).ok();

@@ -3,10 +3,11 @@
 use crate::cost::CostPolicy;
 use comet_detect::DetectorConfig;
 use comet_ml::kernels::KernelTier;
-use comet_ml::{Metric, RandomSearch};
 
-/// All knobs of a COMET run. Defaults follow the paper's experimental setup
-/// (§4); the ablation benchmarks flip individual switches.
+/// The loop policy of a COMET run. Defaults follow the paper's
+/// experimental setup (§4); the ablation benchmarks flip individual
+/// switches. The model, metric, evaluation seed and step size belong to
+/// the [`CleaningEnvironment`](crate::CleaningEnvironment).
 ///
 /// Every field is one entry of a checkpoint's session identity (DESIGN.md
 /// §9), encoded by its derived `Debug`: a `--resume` under any changed
@@ -15,14 +16,10 @@ use comet_ml::{Metric, RandomSearch};
 /// part of the identity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CometConfig {
-    /// Cleaning/pollution step as a fraction of the split size (§4.1: 1 %).
-    pub step_frac: f64,
     /// How many *additional* pollution steps the Polluter probes (§3.1: 2).
     pub pollution_steps: usize,
     /// Random cell combinations per pollution level (§3.1: "multiple").
     pub n_combinations: usize,
-    /// Prediction-accuracy metric (paper: F1).
-    pub metric: Metric,
     /// Total cleaning budget in cost units (§4.2: 50).
     pub budget: f64,
     /// Cost policy.
@@ -31,10 +28,6 @@ pub struct CometConfig {
     pub interval: f64,
     /// Polynomial degree of the Bayesian regression basis.
     pub blr_degree: usize,
-    /// Hyperparameter search executed once per configuration (§4.4).
-    pub search: RandomSearch,
-    /// Seed for deterministic model evaluations.
-    pub eval_seed: u64,
     /// Ablation: subtract the uncertainty in the score (paper: true).
     pub use_uncertainty: bool,
     /// Ablation: per-feature bias correction of predictions (paper: true).
@@ -43,14 +36,6 @@ pub struct CometConfig {
     pub revert_on_decrease: bool,
     /// Ablation: fallback strategy when no candidate is positive (paper: true).
     pub fallback: bool,
-    /// Recommend and clean up to this many features per iteration (the
-    /// paper's future-work extension, §6; 1 = the paper's step-by-step
-    /// behaviour). Batches are accepted or reverted as a unit.
-    pub batch_size: usize,
-    /// How many times a failed candidate evaluation (panic, NaN loss,
-    /// estimator error) is retried before the candidate is recorded as
-    /// failed and skipped for the iteration.
-    pub max_retries: usize,
     /// Kernel tier for all linear-algebra reductions (DESIGN.md §12).
     /// Each tier has one fixed reduction order, so the tier is part of the
     /// session's determinism contract (and of its checkpoint identity).
@@ -78,22 +63,16 @@ pub struct CometConfig {
 impl Default for CometConfig {
     fn default() -> Self {
         CometConfig {
-            step_frac: 0.01,
             pollution_steps: 2,
             n_combinations: 2,
-            metric: Metric::F1,
             budget: 50.0,
             costs: CostPolicy::constant(),
             interval: 0.95,
             blr_degree: 1,
-            search: RandomSearch::default(),
-            eval_seed: 0x5EED,
             use_uncertainty: true,
             bias_correction: true,
             revert_on_decrease: true,
             fallback: true,
-            batch_size: 1,
-            max_retries: 1,
             kernels: KernelTier::from_env_or_scalar(),
             f32_probes: false,
             detect: None,
@@ -105,9 +84,6 @@ impl Default for CometConfig {
 impl CometConfig {
     /// Validate invariant-critical fields.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.step_frac > 0.0 && self.step_frac <= 1.0) {
-            return Err(format!("step_frac must be in (0,1], got {}", self.step_frac));
-        }
         if self.pollution_steps == 0 {
             return Err("pollution_steps must be at least 1".into());
         }
@@ -119,9 +95,6 @@ impl CometConfig {
         }
         if !(self.budget >= 0.0 && self.budget.is_finite()) {
             return Err(format!("budget must be finite and non-negative, got {}", self.budget));
-        }
-        if self.batch_size == 0 {
-            return Err("batch_size must be at least 1".into());
         }
         if let Some(detect) = &self.detect {
             detect.validate().map_err(|e| format!("detect: {e}"))?;
@@ -143,11 +116,8 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = CometConfig::default();
-        assert_eq!(c.step_frac, 0.01);
         assert_eq!(c.pollution_steps, 2);
         assert_eq!(c.budget, 50.0);
-        assert_eq!(c.search.n_samples, 10);
-        assert_eq!(c.max_retries, 1);
         assert!(c.use_uncertainty && c.bias_correction && c.revert_on_decrease && c.fallback);
         // The paper's numbers were produced with full-precision probes;
         // the kernel tier only follows an explicit opt-in.
@@ -161,14 +131,12 @@ mod tests {
     #[test]
     fn validation_catches_bad_fields() {
         let bad = [
-            CometConfig { step_frac: 0.0, ..CometConfig::default() },
             CometConfig { pollution_steps: 0, ..CometConfig::default() },
             CometConfig { n_combinations: 0, ..CometConfig::default() },
             CometConfig { interval: 1.0, ..CometConfig::default() },
             CometConfig { budget: -1.0, ..CometConfig::default() },
             CometConfig { budget: f64::NAN, ..CometConfig::default() },
             CometConfig { budget: f64::INFINITY, ..CometConfig::default() },
-            CometConfig { batch_size: 0, ..CometConfig::default() },
             CometConfig {
                 detect: Some(comet_detect::DetectorConfig {
                     knn_k: 0,

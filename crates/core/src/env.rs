@@ -343,6 +343,11 @@ impl CleaningEnvironment {
         self.step_test
     }
 
+    /// The seed every model fit starts from.
+    pub(crate) fn eval_seed(&self) -> u64 {
+        self.eval_seed
+    }
+
     /// Feature column indices.
     pub fn feature_cols(&self) -> Vec<usize> {
         self.train.feature_indices()
@@ -790,6 +795,19 @@ fn clean_split<R: Rng>(
 }
 
 #[cfg(test)]
+impl CleaningEnvironment {
+    /// The evaluation settings, writable. A built environment derives them
+    /// together; the identity drill changes one at a time.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn settings_mut(
+        &mut self,
+    ) -> (&mut ModelSpec, &mut Metric, &mut u64, [&mut usize; 2]) {
+        let steps = [&mut self.step_train, &mut self.step_test];
+        (&mut self.model, &mut self.metric, &mut self.eval_seed, steps)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use comet_frame::{train_test_split, SplitOptions};
@@ -1071,6 +1089,30 @@ mod tests {
         let stats = env.cache_stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(env.evaluate().unwrap(), f64_score);
+    }
+
+    #[test]
+    fn step_fraction_outside_the_unit_interval_is_rejected() {
+        for step_frac in [0.0, 1.5, f64::NAN] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let df = comet_datasets::Dataset::Eeg.generate(Some(50), &mut rng);
+            let res = CleaningEnvironment::new(
+                df.clone(),
+                df.clone(),
+                GroundTruth::new(df.clone()),
+                GroundTruth::new(df.clone()),
+                Provenance::for_frame(&df),
+                Provenance::for_frame(&df),
+                Algorithm::Knn,
+                Metric::F1,
+                step_frac,
+                RandomSearch { n_samples: 1, ..RandomSearch::default() },
+                0,
+                &mut rng,
+            );
+            let err = res.unwrap_err();
+            assert!(matches!(&err, EnvError::Invalid(m) if m.contains("step_frac")), "{err}");
+        }
     }
 
     #[test]

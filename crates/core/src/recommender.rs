@@ -81,11 +81,6 @@ impl Recommender {
         self.buffer.remove(&(col, err))
     }
 
-    /// Whether the buffer holds a state for this candidate.
-    pub fn buffer_contains(&self, col: usize, err: ErrorType) -> bool {
-        self.buffer.contains_key(&(col, err))
-    }
-
     /// Number of buffered states.
     pub fn buffer_len(&self) -> usize {
         self.buffer.len()

@@ -3,8 +3,8 @@
 //!
 //! [`CleaningSession::run`] is a short loop over private phase
 //! functions that share one [`SessionState`]: candidate estimation,
-//! ranking, cleaning (batch, step by step, then fallback), and the
-//! iteration end (spill health check, metrics, checkpoint, progress).
+//! ranking, cleaning (step by step, then fallback), and the iteration end
+//! (spill health check, metrics, checkpoint, progress).
 //! The baselines book their steps through the same [`SessionState`], and
 //! COMET-Light cleans through [`CleaningSession::clean_ranked`].
 
@@ -30,6 +30,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How many times a failed candidate evaluation (panic, NaN loss,
+/// estimator error) or checkpoint write is retried before it counts as
+/// failed.
+pub(crate) const MAX_RETRIES: usize = 1;
 
 /// Fault injection's `TrainingPanic` arm: a *real* panic, thrown on purpose
 /// so tests prove `par_map_catch` contains worker unwinds.
@@ -317,8 +322,8 @@ impl CleaningSession {
     /// data is fully clean, or no affordable action remains.
     ///
     /// Candidate evaluations are failure-isolated: a panicking, erroring,
-    /// or NaN-producing candidate is retried up to `config.max_retries`
-    /// times and then recorded in `trace.failures` and skipped — one bad
+    /// or NaN-producing candidate is retried up to `MAX_RETRIES` times
+    /// and then recorded in `trace.failures` and skipped — one bad
     /// candidate never kills the session.
     pub fn run<R: Rng>(
         &self,
@@ -346,7 +351,7 @@ impl CleaningSession {
         let session_seed = rng.next_u64();
         let mut writer = match &self.checkpoint {
             Some(spec) => {
-                let identity = SessionIdentity::new(session_seed, &self.errors, &self.config);
+                let identity = SessionIdentity::new(session_seed, &self.errors, &self.config, env);
                 Some(CheckpointWriter::open(spec, &identity, env, self.faults.clone())?)
             }
             None => None,
@@ -469,7 +474,7 @@ impl CleaningSession {
             // Failed candidates retry sequentially, in input order,
             // re-deriving the same candidate seed — retries stay
             // deterministic and thread-count independent.
-            while result.is_err() && (retries as usize) < self.config.max_retries {
+            while result.is_err() && (retries as usize) < MAX_RETRIES {
                 retries += 1;
                 comet_obs::counter_add("fault.retries", 1);
                 #[allow(clippy::expect_used)]
@@ -514,9 +519,9 @@ impl CleaningSession {
     }
 
     /// The clean phase over a ranking the caller made, with the phase
-    /// clock off: the batch (when configured), then the candidates one by
-    /// one, then the fallback. Returns whether a step stuck. COMET-Light
-    /// hands its frozen ranking to this each iteration.
+    /// clock off: the candidates one by one, then the fallback. Returns
+    /// whether a step stuck. COMET-Light hands its frozen ranking to this
+    /// each iteration.
     pub fn clean_ranked<R: Rng>(
         &self,
         env: &mut CleaningEnvironment,
@@ -527,9 +532,9 @@ impl CleaningSession {
         self.clean(env, rng, state, ranked, &PhaseClock::default())
     }
 
-    /// Execute recommendations until one sticks: the batch (when
-    /// configured), then the ranked candidates one by one, then the
-    /// fallback. Returns whether the iteration made progress.
+    /// Execute recommendations until one sticks: the ranked candidates
+    /// one by one, then the fallback. Returns whether the iteration made
+    /// progress.
     fn clean<R: Rng>(
         &self,
         env: &mut CleaningEnvironment,
@@ -538,9 +543,6 @@ impl CleaningSession {
         ranked: &[Candidate],
         clock: &PhaseClock,
     ) -> Result<bool, CometError> {
-        if self.config.batch_size > 1 && self.clean_batch(env, rng, state, ranked, clock)? {
-            return Ok(true);
-        }
         if self.clean_step_by_step(env, rng, state, ranked, clock)? {
             return Ok(true);
         }
@@ -550,86 +552,6 @@ impl CleaningSession {
         // Timed as one block (its cleaning and evaluation included), so
         // the inner calls are not double-counted into clean_step/evaluate.
         clock.time(&clock.fallback, || self.fallback(env, rng, state))
-    }
-
-    /// Batched mode (future-work extension, §6): clean the top-k
-    /// affordable, unbuffered candidates together, evaluate once, and
-    /// accept or revert the whole batch. Returns `false` — falling through
-    /// to the step-by-step path — when fewer than two candidates qualify,
-    /// none cleaned a cell, or the batch was reverted.
-    fn clean_batch<R: Rng>(
-        &self,
-        env: &mut CleaningEnvironment,
-        rng: &mut R,
-        state: &mut SessionState,
-        ranked: &[Candidate],
-        clock: &PhaseClock,
-    ) -> Result<bool, CometError> {
-        let mut selected: Vec<&Candidate> = Vec::new();
-        let mut planned_cost = 0.0;
-        for cand in ranked {
-            if selected.len() == self.config.batch_size {
-                break;
-            }
-            if state.recommender.buffer_contains(cand.estimate.col, cand.estimate.err) {
-                continue; // buffered states are handled one by one
-            }
-            if state.budget.can_afford(planned_cost + cand.cost) {
-                planned_cost += cand.cost;
-                selected.push(cand);
-            }
-        }
-        if selected.len() < 2 {
-            return Ok(false);
-        }
-        let pre_snaps =
-            selected.iter().map(|c| env.snapshot(c.estimate.col)).collect::<Result<Vec<_>, _>>()?;
-        let mut cleaned = Vec::with_capacity(selected.len());
-        for &cand in &selected {
-            let est = &cand.estimate;
-            let (ctr, cte) = clock.time(&clock.clean_step, || {
-                env.clean_step(est.col, est.err, &est.flagged_train, &est.flagged_test, rng)
-            })?;
-            if ctr + cte > 0 {
-                cleaned.push((cand, ctr + cte));
-            }
-        }
-        // Charge, count, and learn from only the members that actually
-        // cleaned cells — parity with the step-by-step path's zero-cell
-        // skip. A member whose pair was already clean did no work and must
-        // not consume budget or produce a record.
-        if cleaned.is_empty() {
-            return Ok(false);
-        }
-        for &(cand, _) in &cleaned {
-            state.charge(cand.cost, (cand.estimate.col, cand.estimate.err));
-        }
-        let f1 = clock.time(&clock.evaluate, || env.evaluate())?;
-        for &(cand, _) in &cleaned {
-            let est = &cand.estimate;
-            state.estimator.record_outcome(est.col, est.err, est.raw_predicted_f1, f1);
-            state.recommender.record_post_clean_f1(est.col, est.err, f1);
-        }
-        let keep = state.improves(f1) || !self.config.revert_on_decrease;
-        if keep {
-            state.accept(f1);
-        } else {
-            // Buffer each cleaned column, then revert all.
-            for &(cand, _) in &cleaned {
-                let cleaned_state = env.snapshot(cand.estimate.col)?;
-                state.recommender.buffer_store(cand.estimate.col, cand.estimate.err, cleaned_state);
-            }
-            for pre in &pre_snaps {
-                env.restore(pre)?;
-            }
-        }
-        let action = if keep { StepAction::Accepted } else { StepAction::Reverted };
-        for &(cand, cells) in &cleaned {
-            let pair = (cand.estimate.col, cand.estimate.err);
-            state.record(pair, action, cand.cost, Some(&cand.estimate), f1, cells);
-        }
-        state.mark_curve();
-        Ok(keep)
     }
 
     /// Clean the ranked candidates one by one until a step sticks (§3.3).
@@ -791,7 +713,7 @@ impl CleaningSession {
                 records: state.trace.records.len(),
                 trace_fp: trace_fingerprint(&state.trace),
             };
-            writer.commit(&record, &env.export_cache_entries(), self.config.max_retries)?;
+            writer.commit(&record, &env.export_cache_entries())?;
         }
         self.publish(state, iteration + 1);
         Ok(())
@@ -870,12 +792,7 @@ mod tests {
     }
 
     fn quick_config(budget: f64) -> CometConfig {
-        CometConfig {
-            budget,
-            n_combinations: 1,
-            search: RandomSearch { n_samples: 1, ..RandomSearch::default() },
-            ..CometConfig::default()
-        }
+        CometConfig { budget, n_combinations: 1, ..CometConfig::default() }
     }
 
     #[test]
@@ -1032,76 +949,8 @@ mod tests {
         CleaningSession::new(CometConfig::default(), vec![]);
     }
 
-    fn build_env_with_step(
-        seed: u64,
-        rows: usize,
-        levels: Vec<(usize, f64)>,
-        algorithm: Algorithm,
-        step_frac: f64,
-    ) -> CleaningEnvironment {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let df = comet_datasets::Dataset::Eeg.generate(Some(rows), &mut rng);
-        let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
-        let gt_train = GroundTruth::new(tt.train.clone());
-        let gt_test = GroundTruth::new(tt.test.clone());
-        let mut train = tt.train;
-        let mut test = tt.test;
-        let mut prov_train = Provenance::for_frame(&train);
-        let mut prov_test = Provenance::for_frame(&test);
-        let plan =
-            PrePollutionPlan::explicit(Scenario::SingleError(ErrorType::MissingValues), levels);
-        plan.apply(&mut train, 0.01, &mut prov_train, &mut rng).unwrap();
-        plan.apply(&mut test, 0.01, &mut prov_test, &mut rng).unwrap();
-        CleaningEnvironment::new(
-            train,
-            test,
-            gt_train,
-            gt_test,
-            prov_train,
-            prov_test,
-            algorithm,
-            Metric::F1,
-            step_frac,
-            RandomSearch { n_samples: 1, ..RandomSearch::default() },
-            11,
-            &mut rng,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn batched_recommendations_clean_multiple_features_per_iteration() {
-        // Heavy pollution + large cleaning steps so several candidates have
-        // clearly positive predicted gains at once.
-        let levels: Vec<(usize, f64)> = (0..14).map(|c| (c, 0.5)).collect();
-        let mut env = build_env_with_step(21, 300, levels, Algorithm::Knn, 0.08);
-        let config = CometConfig { batch_size: 3, ..quick_config(12.0) };
-        let session = CleaningSession::new(config, vec![ErrorType::MissingValues]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let outcome = session.run(&mut env, &mut rng).unwrap();
-        let trace = &outcome.trace;
-        assert!(trace.total_spent() <= 12.0 + 1e-9);
-        // At least one iteration should have produced several records with
-        // the same iteration index and identical post-batch F1.
-        let mut by_iteration: std::collections::HashMap<usize, Vec<&StepRecord>> =
-            std::collections::HashMap::new();
-        for r in &trace.records {
-            by_iteration.entry(r.iteration).or_default().push(r);
-        }
-        let batched = by_iteration
-            .values()
-            .any(|rs| rs.len() > 1 && rs.iter().all(|r| r.actual_f1 == rs[0].actual_f1));
-        assert!(batched, "expected at least one multi-feature batch");
-    }
-
-    #[test]
-    fn batch_size_zero_rejected() {
-        let config = CometConfig { batch_size: 0, ..CometConfig::default() };
-        assert!(config.validate().is_err());
-    }
-
-    /// The batch accounting invariant: the budget actually spent must equal
-    /// the summed cost of the records that cleaned at least one cell.
+    /// The accounting invariant: the budget actually spent must equal the
+    /// summed cost of the records that cleaned at least one cell.
     fn assert_budget_matches_cleaning_records(trace: &CleaningTrace) {
         let cleaned_cost: f64 =
             trace.records.iter().filter(|r| r.cleaned_cells > 0).map(|r| r.cost).sum();
@@ -1119,23 +968,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_budget_equals_cost_of_cleaning_records() {
-        let levels: Vec<(usize, f64)> = (0..14).map(|c| (c, 0.5)).collect();
-        let mut env = build_env_with_step(21, 300, levels, Algorithm::Knn, 0.08);
-        let config = CometConfig { batch_size: 3, ..quick_config(12.0) };
-        let session = CleaningSession::new(config, vec![ErrorType::MissingValues]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let outcome = session.run(&mut env, &mut rng).unwrap();
-        assert!(!outcome.trace.records.is_empty());
-        assert_budget_matches_cleaning_records(&outcome.trace);
-    }
-
-    #[test]
-    fn batch_member_cleaning_zero_cells_is_not_charged() {
-        // Unit-level proof of the zero-cell rule the batch path now shares
-        // with the step-by-step path: cleaning an already-clean pair does
-        // no work, so it must report zero cells (and hence never be
-        // charged by the session).
+    fn cleaning_a_clean_pair_reports_zero_cells() {
+        // Unit-level proof of the step path's zero-cell rule: cleaning an
+        // already-clean pair does no work, so it must report zero cells
+        // (and hence never be charged by the session).
         let mut env = build_env(4, 200, vec![(0, 0.3)], Algorithm::Knn);
         let mut rng = StdRng::seed_from_u64(0);
         let mut guard = 0;
@@ -1149,11 +985,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_error_batch_with_shared_column_keeps_budget_invariant() {
-        // The same column dirty under two error types: batch mode may
-        // select both pairs in one batch (snapshot/buffer interaction) and
-        // the accounting invariant must survive it, under the paper's
-        // multi-error cost policy.
+    fn multi_error_shared_column_keeps_budget_invariant() {
+        // The same column dirty under two error types: both pairs snapshot,
+        // revert and buffer the one column, and the accounting invariant
+        // must survive it, under the paper's multi-error cost policy.
         let mut rng = StdRng::seed_from_u64(19);
         let df = comet_datasets::Dataset::Eeg.generate(Some(300), &mut rng);
         let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
@@ -1189,11 +1024,8 @@ mod tests {
         // Column 0 must really carry both error types.
         assert!(env.pair_dirty(0, ErrorType::MissingValues));
         assert!(env.pair_dirty(0, ErrorType::GaussianNoise));
-        let config = CometConfig {
-            costs: crate::cost::CostPolicy::paper_multi(),
-            batch_size: 3,
-            ..quick_config(10.0)
-        };
+        let config =
+            CometConfig { costs: crate::cost::CostPolicy::paper_multi(), ..quick_config(10.0) };
         let session = CleaningSession::new(config, ErrorType::ALL.to_vec());
         let outcome = session.run(&mut env, &mut rng).unwrap();
         assert!(outcome.trace.total_spent() <= 10.0 + 1e-9);
@@ -1390,7 +1222,7 @@ mod tests {
         assert!(reason_of(1).contains("non-finite"), "{:?}", reason_of(1));
         assert!(reason_of(2).contains("estimator failure"), "{:?}", reason_of(2));
         for f in &it0 {
-            assert_eq!(f.retries, 1, "default max_retries spends one retry: {f:?}");
+            assert_eq!(f.retries, 1, "MAX_RETRIES spends one retry: {f:?}");
         }
         // The transient iteration-1 panic recovered and left no failure.
         assert!(trace.failures.iter().all(|f| f.iteration == 0), "{:?}", trace.failures);
@@ -1426,30 +1258,6 @@ mod tests {
         );
         assert!(!sequential.trace.failures.is_empty());
         assert!(!sequential.trace.records.is_empty());
-    }
-
-    #[test]
-    fn zero_retries_fails_transient_faults_immediately() {
-        let mut env = build_env(31, 240, vec![(0, 0.3), (1, 0.25)], Algorithm::Knn);
-        let plan = FaultPlan::new(vec![FaultSpec {
-            iteration: 0,
-            col: 0,
-            err: ErrorType::MissingValues,
-            kind: FaultKind::TrainingPanic,
-            attempts: 1, // would recover on retry — but none are allowed
-        }]);
-        let config = CometConfig { max_retries: 0, ..quick_config(6.0) };
-        let session =
-            CleaningSession::new(config, vec![ErrorType::MissingValues]).with_faults(plan);
-        let mut rng = StdRng::seed_from_u64(3);
-        let outcome = session.run(&mut env, &mut rng).unwrap();
-        let failure = outcome
-            .trace
-            .failures
-            .iter()
-            .find(|f| f.iteration == 0 && f.col == 0)
-            .expect("transient fault must fail out without retries");
-        assert_eq!(failure.retries, 0);
     }
 
     fn ckpt_path(name: &str) -> std::path::PathBuf {
@@ -1711,8 +1519,31 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    #[test]
+    fn resume_under_another_model_is_refused_by_name() {
+        // The preloaded evaluation cache is keyed by frame content only, so
+        // an SVM checkpoint resumed on a LOR environment would answer the
+        // replay with SVM scores and go on with LOR ones. Both environments
+        // come from the same rng, so the session seed alone cannot tell.
+        let levels = vec![(0, 0.3), (1, 0.2)];
+        let path = ckpt_path("model_mismatch.jsonl");
+        let run = |algorithm: Algorithm, resume: bool| {
+            let mut env = build_env(32, 200, levels.clone(), algorithm);
+            env.clear_eval_cache();
+            let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
+                .with_checkpoint(CheckpointSpec { path: path.clone(), resume });
+            session.run(&mut env, &mut StdRng::seed_from_u64(5)).map(|_| ())
+        };
+        run(Algorithm::Svm, false).unwrap();
+        let err = run(Algorithm::LogReg, true).unwrap_err();
+        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
+        assert_eq!(named_keys(&err), ["algorithm", "params"], "{err}");
+        run(Algorithm::Svm, true).unwrap();
+        std::fs::remove_file(path).ok();
+    }
+
     /// The session inputs a checkpoint identity is built from.
-    type Inputs = (u64, Vec<ErrorType>, CometConfig);
+    type Inputs = (u64, Vec<ErrorType>, CometConfig, CleaningEnvironment);
     type Mutator = fn(&mut Inputs);
 
     fn other_tier(tier: comet_ml::kernels::KernelTier) -> comet_ml::kernels::KernelTier {
@@ -1725,30 +1556,34 @@ mod tests {
     }
 
     /// One mutator per identity key, each changing exactly that input and
-    /// keeping the config valid.
+    /// keeping the config valid. A built environment derives its model,
+    /// metric, seed and step sizes together, so those mutators write one
+    /// setting directly.
     const MUTATORS: [(&str, Mutator); 22] = [
         ("session_seed", |i| i.0 ^= 1),
         ("errors", |i| i.1.push(ErrorType::GaussianNoise)),
-        ("step_frac", |i| i.2.step_frac = 0.02),
         ("pollution_steps", |i| i.2.pollution_steps = 3),
         ("n_combinations", |i| i.2.n_combinations = 2),
-        ("metric", |i| i.2.metric = Metric::Accuracy),
         ("budget", |i| i.2.budget = 5.0),
         ("costs", |i| i.2.costs = crate::cost::CostPolicy::paper_multi()),
         ("interval", |i| i.2.interval = 0.9),
         ("blr_degree", |i| i.2.blr_degree = 2),
-        ("search", |i| i.2.search.n_samples = 2),
-        ("eval_seed", |i| i.2.eval_seed += 1),
         ("use_uncertainty", |i| i.2.use_uncertainty = false),
         ("bias_correction", |i| i.2.bias_correction = false),
         ("revert_on_decrease", |i| i.2.revert_on_decrease = false),
         ("fallback", |i| i.2.fallback = false),
-        ("batch_size", |i| i.2.batch_size = 2),
-        ("max_retries", |i| i.2.max_retries = 2),
         ("kernels", |i| i.2.kernels = other_tier(i.2.kernels)),
         ("f32_probes", |i| i.2.f32_probes = true),
         ("detect", |i| i.2.detect = Some(comet_detect::DetectorConfig::default())),
         ("segment_rows", |i| i.2.segment_rows = 1024),
+        ("algorithm", |i| i.3.settings_mut().0.algorithm = Algorithm::Svm),
+        ("params", |i| {
+            i.3.settings_mut().0.params = comet_ml::HyperParams::Knn(comet_ml::KnnParams { k: 99 })
+        }),
+        ("metric", |i| *i.3.settings_mut().1 = Metric::Accuracy),
+        ("eval_seed", |i| *i.3.settings_mut().2 += 1),
+        ("step_train", |i| *i.3.settings_mut().3[0] += 1),
+        ("step_test", |i| *i.3.settings_mut().3[1] += 1),
     ];
 
     /// The identity keys a refusal names (they are the backticked words).
@@ -1762,7 +1597,8 @@ mod tests {
         let path = ckpt_path("identity_drill.jsonl");
         // The session seed is the run rng's first draw.
         let session_seed = StdRng::seed_from_u64(5).next_u64();
-        let base: Inputs = (session_seed, vec![ErrorType::MissingValues], quick_config(4.0));
+        let base: Inputs =
+            (session_seed, vec![ErrorType::MissingValues], quick_config(4.0), env0.clone());
         let run = |resume: bool| {
             let mut env = env0.clone();
             env.clear_eval_cache();
@@ -1771,7 +1607,7 @@ mod tests {
             session.run(&mut env, &mut StdRng::seed_from_u64(5))
         };
         let full = run(false).unwrap();
-        let identity = |i: &Inputs| SessionIdentity::new(i.0, &i.1, &i.2);
+        let identity = |i: &Inputs| SessionIdentity::new(i.0, &i.1, &i.2, &i.3);
         assert_eq!(crate::checkpoint::load(&path).unwrap().identity, identity(&base));
 
         // The table covers every key the header stores, once each.

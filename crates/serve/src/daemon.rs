@@ -404,23 +404,11 @@ fn cmd_start(inner: &Inner, request: &JsonValue) -> String {
         );
     }
     let budget = request.get("budget").and_then(JsonValue::as_f64).unwrap_or(20.0);
-    // JSON numbers arrive as f64, so `as u64` would silently round,
-    // truncate or saturate. A seed must be whole and below 2^53 (strictly:
-    // 2^53 + 1 already arrives as 2^53); a deadline must be whole.
-    let whole = |key: &str, below: f64| match request.get(key).and_then(JsonValue::as_f64) {
-        Some(v) if !(v >= 0.0 && v < below && v.fract() == 0.0) => Err(protocol::error_response(
-            kind::INVALID,
-            &format!("{key} must be a whole number in [0, {below})"),
-            false,
-            None,
-        )),
-        v => Ok(v.map(|v| v as u64)),
-    };
-    let seed = match whole("seed", 9_007_199_254_740_992.0) {
+    let seed = match whole(request, "seed", EXACT_U64) {
         Ok(seed) => seed.unwrap_or(42),
         Err(refusal) => return refusal,
     };
-    let deadline_ms = match whole("deadline_ms", f64::INFINITY) {
+    let deadline_ms = match whole(request, "deadline_ms", f64::INFINITY) {
         Ok(ms) => ms,
         Err(refusal) => return refusal,
     };
@@ -429,6 +417,9 @@ fn cmd_start(inner: &Inner, request: &JsonValue) -> String {
         return protocol::error_response(kind::INVALID, "budget must be positive", false, None);
     }
     for fp in std::iter::once(dirty).chain(clean.as_deref()) {
+        if let Err(e) = SessionStore::check_dataset_fp(fp) {
+            return protocol::error_response(kind::INVALID, &e, false, None);
+        }
         if !inner.store.dataset_path(fp).exists() {
             return protocol::error_response(
                 kind::NOT_FOUND,
@@ -509,9 +500,41 @@ fn cmd_start(inner: &Inner, request: &JsonValue) -> String {
     ok.finish()
 }
 
+/// JSON numbers arrive as f64, so `as u64` would silently round, truncate
+/// or saturate: below this (2^53) every whole number is exact, and 2^53 + 1
+/// already arrives as 2^53.
+const EXACT_U64: f64 = 9_007_199_254_740_992.0;
+
+/// The optional whole-number field `key`, refused with a typed `invalid`
+/// response unless it is whole and in `[0, below)`.
+fn whole(request: &JsonValue, key: &str, below: f64) -> Result<Option<u64>, String> {
+    match request.get(key).and_then(JsonValue::as_f64) {
+        Some(v) if !(v >= 0.0 && v < below && v.fract() == 0.0) => Err(protocol::error_response(
+            kind::INVALID,
+            &format!("{key} must be a whole number in [0, {below})"),
+            false,
+            None,
+        )),
+        v => Ok(v.map(|v| v as u64)),
+    }
+}
+
+/// The request's `session` field, refused with a typed `invalid` response
+/// when it is missing or not a session id the store emits.
+fn session_of<'a>(request: &'a JsonValue, cmd: &str) -> Result<&'a str, String> {
+    let invalid = |message: &str| protocol::error_response(kind::INVALID, message, false, None);
+    let id = request
+        .get("session")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| invalid(&format!("{cmd} needs a session id")))?;
+    SessionStore::check_session_id(id).map_err(|e| invalid(&e))?;
+    Ok(id)
+}
+
 fn cmd_status(inner: &Inner, request: &JsonValue) -> String {
-    let Some(id) = request.get("session").and_then(JsonValue::as_str) else {
-        return protocol::error_response(kind::INVALID, "status needs a session id", false, None);
+    let id = match session_of(request, "status") {
+        Ok(id) => id,
+        Err(refusal) => return refusal,
     };
     let sessions = lock(&inner.sessions);
     let (manifest, progress) = match sessions.get(id) {
@@ -548,10 +571,10 @@ fn cmd_status(inner: &Inner, request: &JsonValue) -> String {
 }
 
 fn cmd_results(inner: &Inner, request: &JsonValue) -> String {
-    let Some(id) = request.get("session").and_then(JsonValue::as_str) else {
-        return protocol::error_response(kind::INVALID, "results needs a session id", false, None);
+    let (id, from) = match (session_of(request, "results"), whole(request, "from", EXACT_U64)) {
+        (Ok(id), Ok(from)) => (id, from.unwrap_or(0) as usize),
+        (Err(refusal), _) | (_, Err(refusal)) => return refusal,
     };
-    let from = request.get("from").and_then(JsonValue::as_f64).unwrap_or(0.0) as usize;
     let sessions = lock(&inner.sessions);
     let Some(entry) = sessions.get(id) else {
         drop(sessions);
@@ -617,8 +640,9 @@ fn cmd_results(inner: &Inner, request: &JsonValue) -> String {
 }
 
 fn cmd_cancel(inner: &Inner, request: &JsonValue) -> String {
-    let Some(id) = request.get("session").and_then(JsonValue::as_str) else {
-        return protocol::error_response(kind::INVALID, "cancel needs a session id", false, None);
+    let id = match session_of(request, "cancel") {
+        Ok(id) => id,
+        Err(refusal) => return refusal,
     };
     let sessions = lock(&inner.sessions);
     let Some(entry) = sessions.get(id) else {

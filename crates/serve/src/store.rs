@@ -156,6 +156,28 @@ impl SessionStore {
         &self.root
     }
 
+    /// Refuse a dataset fingerprint [`fingerprint`] could not have
+    /// emitted (16 lowercase hex digits), before it becomes a path.
+    pub fn check_dataset_fp(fp: &str) -> Result<(), String> {
+        let hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if fp.len() == 16 && fp.bytes().all(hex) {
+            Ok(())
+        } else {
+            Err(format!("dataset {fp:?} is not a fingerprint (16 lowercase hex digits)"))
+        }
+    }
+
+    /// Refuse a session id [`Self::allocate_id`] could not have emitted
+    /// (`s` and 8 digits), before it becomes a path.
+    pub fn check_session_id(id: &str) -> Result<(), String> {
+        match id.strip_prefix('s') {
+            Some(digits) if digits.len() == 8 && digits.bytes().all(|b| b.is_ascii_digit()) => {
+                Ok(())
+            }
+            _ => Err(format!("session {id:?} is not a session id (s and 8 digits)")),
+        }
+    }
+
     /// Store an uploaded dataset under its content fingerprint; returns
     /// the fingerprint. Re-uploading identical bytes is idempotent.
     pub fn put_dataset(&self, csv: &str) -> io::Result<String> {
@@ -296,6 +318,21 @@ mod tests {
         assert_eq!(fp1, fp2, "identical bytes, identical fingerprint");
         assert_ne!(fp1, fp3);
         assert_eq!(fs::read_to_string(store.dataset_path(&fp1)).unwrap(), "a,y\n1,0\n");
+    }
+
+    #[test]
+    fn only_emitted_ids_pass_the_checks() {
+        let store = tmp_store("checks");
+        let fp = store.put_dataset("a,y\n1,0\n").unwrap();
+        assert_eq!(SessionStore::check_dataset_fp(&fp), Ok(()));
+        for bad in ["../../outside/secret", "", "0123456789ABCDEF", "0123456789abcde", "/etc/x"] {
+            assert!(SessionStore::check_dataset_fp(bad).is_err(), "{bad:?}");
+        }
+        let id = store.allocate_id().unwrap();
+        assert_eq!(SessionStore::check_session_id(&id), Ok(()));
+        for bad in ["../x", "s0000001", "s000000010", "S00000001", "s0000000a", "s/../../x"] {
+            assert!(SessionStore::check_session_id(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -257,6 +257,46 @@ fn start_refuses_seeds_and_deadlines_it_cannot_store_exactly() {
 }
 
 #[test]
+fn wire_ids_and_offsets_are_validated_before_use() {
+    // A dataset fp or session id from the wire becomes a store path, so
+    // only the shapes the store emits may pass: a `../` fp used to read a
+    // CSV from outside the store and run a session on it.
+    let root = temp_root("wire_ids");
+    let outside = root.join("outside");
+    std::fs::create_dir_all(&outside).unwrap();
+    std::fs::write(outside.join("secret.csv"), csv_pair(40).1).unwrap();
+    let daemon = start_daemon(&root.join("store"), 1, 4, Arc::new(ServeFaultPlan::default()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    let (dirty, clean) = upload_pair(&mut client, 120);
+    let expect_invalid = |client: &mut Client, request: &str| match client.request_ok(request) {
+        Err(comet_serve::client::ClientError::Server(e)) => {
+            assert_eq!(e.kind, kind::INVALID, "{request}: {}", e.message)
+        }
+        other => panic!("{request}: expected invalid, got {other:?}"),
+    };
+    expect_invalid(&mut client, &start_req("../../outside/secret", &clean, 3.0, 11, None));
+    expect_invalid(&mut client, &start_req(&dirty, "../../outside/secret", 3.0, 11, None));
+    for cmd in ["status", "results", "cancel"] {
+        expect_invalid(&mut client, &session_req(cmd, "../x"));
+    }
+
+    // `from` is a whole number like `seed`: -1 used to read as 0 and 1.5
+    // as 1.
+    let id = str_field(
+        &client.request_ok(&start_req(&dirty, &clean, 3.0, 11, None)).unwrap(),
+        "session",
+    );
+    wait_status(&mut client, &id, |v| str_field(v, "status") == "done");
+    for from in ["-1", "1.5"] {
+        let request = format!("{{\"cmd\":\"results\",\"session\":\"{id}\",\"from\":{from}}}");
+        expect_invalid(&mut client, &request);
+    }
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn admission_rejects_under_pressure_and_recovers_after_cancel() {
     let root = temp_root("admission");
     // One worker, one queue slot, and a long-running-session simulator

@@ -19,8 +19,8 @@
 //!   JSONL journal (one record per iteration with per-phase durations and
 //!   counters, one summary record at exit) plus a metrics report.
 //!   `--checkpoint ckpt.jsonl` records a resumable checkpoint every
-//!   iteration; add `--resume` to continue a killed run bit-identically,
-//!   and `--max-retries N` to tune candidate-failure retries (DESIGN.md §9).
+//!   iteration; add `--resume` to continue a killed run bit-identically
+//!   (DESIGN.md §9).
 //! * `serve` runs the multi-tenant session daemon (DESIGN.md §14): it
 //!   hosts uploaded datasets and queued cleaning sessions, survives
 //!   `kill -9` (interrupted sessions resume bit-identically from their
@@ -45,7 +45,7 @@ usage:
   comet pollute   --input FILE --label COL --error mv|gn|cs|s --level FRAC --output FILE [--seed N]
   comet evaluate  --input FILE --label COL [--algo NAME] [--seed N] [--segment-rows N]
   comet recommend --dirty FILE --clean FILE --label COL [--algo NAME] [--budget N]
-                  [--step FRAC] [--batch N] [--max-retries N] [--trace FILE]
+                  [--step FRAC] [--trace FILE]
                   [--checkpoint FILE [--resume]] [--metrics-out FILE]
                   [--kernels scalar|simd] [--f32-probes]
                   [--detect [--detectors LIST]] [--seed N]
@@ -111,9 +111,8 @@ const BOOL_FLAGS: &[&str] = &["resume", "f32-probes", "detect"];
 /// (`client` takes the union over its actions).
 const POLLUTE_FLAGS: &str = "input label error level output seed";
 const EVALUATE_FLAGS: &str = "input label algo seed segment-rows";
-const RECOMMEND_FLAGS: &str = "dirty clean label algo budget step batch max-retries trace \
-    checkpoint resume metrics-out kernels f32-probes detect detectors seed segment-rows \
-    memory-budget";
+const RECOMMEND_FLAGS: &str = "dirty clean label algo budget step trace checkpoint resume \
+    metrics-out kernels f32-probes detect detectors seed segment-rows memory-budget";
 const SERVE_FLAGS: &str = "root workers max-queued tenant-cap backoff-ms port port-file \
     kernels metrics-out report-every-secs inject-fault segment-rows memory-budget";
 const CLIENT_FLAGS: &str = "port port-file retry file dirty clean label algo budget seed \
@@ -282,12 +281,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         .map_or(Ok(20.0), |s| s.parse().map_err(|e| format!("--budget: {e}")))?;
     let step: f64 =
         flags.get("step").map_or(Ok(0.01), |s| s.parse().map_err(|e| format!("--step: {e}")))?;
-    let batch: usize =
-        flags.get("batch").map_or(Ok(1), |s| s.parse().map_err(|e| format!("--batch: {e}")))?;
-    let max_retries: usize = flags.get("max-retries").map_or_else(
-        || Ok(CometConfig::default().max_retries),
-        |s| s.parse().map_err(|e| format!("--max-retries: {e}")),
-    )?;
     // Kernel tier precedence: `--kernels` beats `COMET_KERNELS` beats the
     // scalar default (the config default already resolves the env var).
     let kernels = match flags.get("kernels") {
@@ -297,9 +290,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     };
     let config = CometConfig {
         budget,
-        step_frac: step,
-        batch_size: batch,
-        max_retries,
         kernels,
         f32_probes: flags.contains_key("f32-probes"),
         detect: parse_detect(&flags)?,
@@ -309,6 +299,9 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     // Checked before any I/O: `CleaningSession::new` panics on an invalid
     // config, and a bad flag must fail as a message, not a crash.
     config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
+    if !(step > 0.0 && step <= 1.0) {
+        return Err(format!("invalid configuration: step_frac must be in (0,1], got {step}"));
+    }
     let resume = flags.contains_key("resume");
     let checkpoint =
         flags.get("checkpoint").map(|path| CheckpointSpec { path: path.into(), resume });
@@ -347,7 +340,7 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         dirty,
         Some(clean),
         algorithm,
-        config.step_frac,
+        step,
         RandomSearch::default(),
         7,
         config.segment_rows,

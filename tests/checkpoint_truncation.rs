@@ -47,7 +47,7 @@ fn toy_pair() -> (DataFrame, DataFrame) {
 }
 
 fn session_config() -> CometConfig {
-    CometConfig { budget: 6.0, step_frac: 0.05, ..CometConfig::default() }
+    CometConfig { budget: 6.0, ..CometConfig::default() }
 }
 
 /// Run one full session for `seed`, checkpointing to `path`. Returns the

@@ -50,12 +50,7 @@ fn build_env(seed: u64) -> CleaningEnvironment {
 }
 
 fn quick_config(budget: f64) -> CometConfig {
-    CometConfig {
-        budget,
-        n_combinations: 1,
-        search: RandomSearch { n_samples: 1, ..RandomSearch::default() },
-        ..CometConfig::default()
-    }
+    CometConfig { budget, n_combinations: 1, ..CometConfig::default() }
 }
 
 #[test]

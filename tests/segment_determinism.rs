@@ -74,12 +74,7 @@ fn run_trace(seg_rows: usize, checkpoint: Option<(&Path, bool)>) -> Result<Strin
         seg_rows,
         &mut rng,
     )?;
-    let config = CometConfig {
-        budget: 6.0,
-        step_frac: 0.05,
-        segment_rows: seg_rows,
-        ..CometConfig::default()
-    };
+    let config = CometConfig { budget: 6.0, segment_rows: seg_rows, ..CometConfig::default() };
     let mut session = CleaningSession::new(config, ErrorType::ALL.to_vec());
     if let Some((path, resume)) = checkpoint {
         session = session.with_checkpoint(CheckpointSpec { path: path.into(), resume });
