@@ -39,7 +39,7 @@ pub struct CometConfig {
     /// Kernel tier for all linear-algebra reductions (DESIGN.md §12).
     /// Each tier has one fixed reduction order, so the tier is part of the
     /// session's determinism contract (and of its checkpoint identity).
-    /// Defaults to the `COMET_KERNELS` environment variable, else scalar.
+    /// Defaults to scalar.
     pub kernels: KernelTier,
     /// Run the Estimator's inner pollution-probe evaluations with f32
     /// model training (SGD/MLP/KNN forward passes). The Bayesian fit,
@@ -73,7 +73,7 @@ impl Default for CometConfig {
             bias_correction: true,
             revert_on_decrease: true,
             fallback: true,
-            kernels: KernelTier::from_env_or_scalar(),
+            kernels: KernelTier::Scalar,
             f32_probes: false,
             detect: None,
             segment_rows: comet_frame::DEFAULT_SEGMENT_ROWS,
@@ -121,7 +121,7 @@ mod tests {
         assert!(c.use_uncertainty && c.bias_correction && c.revert_on_decrease && c.fallback);
         // The paper's numbers were produced with full-precision probes;
         // the kernel tier only follows an explicit opt-in.
-        assert_eq!(c.kernels, KernelTier::from_env_or_scalar());
+        assert_eq!(c.kernels, KernelTier::Scalar);
         assert!(!c.f32_probes);
         assert!(c.detect.is_none(), "the paper's setup is oracle mode");
         assert_eq!(c.segment_rows, comet_frame::DEFAULT_SEGMENT_ROWS);

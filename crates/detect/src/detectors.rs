@@ -7,7 +7,7 @@
 
 use crate::config::{DetectorConfig, DetectorKind};
 use crate::report::{DetectionReport, Flag};
-use comet_frame::{ColumnKind, DataFrame, FrameError};
+use comet_frame::{Cell, ColumnKind, DataFrame, FrameError};
 use std::collections::BTreeMap;
 
 /// Rows beyond this, the O(n²) label-disagreement detector bows out.
@@ -70,6 +70,21 @@ impl NumStats {
 fn numeric_values(df: &DataFrame, col: usize) -> Result<Vec<(usize, f64)>, FrameError> {
     let c = df.column(col)?;
     Ok((0..c.len()).filter_map(|row| c.num(row).map(|v| (row, v))).collect())
+}
+
+/// Every cell of a column in row order, read one segment view at a time.
+fn column_cells(df: &DataFrame, col: usize) -> Result<Vec<Cell>, FrameError> {
+    let c = df.column(col)?;
+    let mut cells = Vec::with_capacity(c.len());
+    for seg in 0..c.n_segments() {
+        let view = c.segment_view(seg)?;
+        cells.extend((0..view.len()).map(|row| match (view.num(row), view.cat(row)) {
+            (Some(v), _) => Cell::Num(v),
+            (_, Some(code)) => Cell::Cat(code),
+            _ => Cell::Missing,
+        }));
+    }
+    Ok(cells)
 }
 
 /// Run the enabled detectors over `df` and collect the flag set.
@@ -284,24 +299,29 @@ fn near_duplicate(
         }
     }
 
+    // Verification reads the rows of each signature group, which lie
+    // anywhere in the frame, so each column is read once up front: under a
+    // spill budget, per-cell reads reload a segment at almost every access.
+    let cells: Vec<Vec<Cell>> =
+        features.iter().map(|&c| column_cells(df, c)).collect::<Result<_, _>>()?;
+
     let mut dup_rows: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
     for band in 0..2u64 {
         let offset = 0.5 * band as f64;
         let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for row in 0..n {
             let mut sig = 0xcbf2_9ce4_8422_2325u64 ^ band;
-            for &c in features {
-                let col = df.column(c)?;
-                let word = match (col.num(row), col.cat(row)) {
-                    (Some(v), _) => {
+            for (&c, column) in features.iter().zip(&cells) {
+                let word = match column[row] {
+                    Cell::Num(v) => {
                         let width = widths.get(&c).copied().unwrap_or(1.0);
                         let bucket = (v / width + offset).floor();
                         // Buckets beyond i64 range all collapse to the same
                         // word; verification sorts out the collisions.
                         1 ^ (bucket as i64 as u64).rotate_left(1)
                     }
-                    (_, Some(code)) => 2 ^ (u64::from(code) << 2),
-                    _ => 3, // missing
+                    Cell::Cat(code) => 2 ^ (u64::from(code) << 2),
+                    Cell::Missing => 3,
                 };
                 sig = fold(sig, word);
             }
@@ -315,7 +335,7 @@ fn near_duplicate(
                 // Verify against every earlier row in the group (bounded
                 // lookback keeps a degenerate all-one-bucket frame linear).
                 for i in j.saturating_sub(128)..j {
-                    if rows_match(df, features, rows[i], rows[j], config)? {
+                    if rows_match(&cells, rows[i], rows[j], config) {
                         dup_rows.insert(rows[i]);
                         dup_rows.insert(rows[j]);
                         break;
@@ -337,20 +357,14 @@ fn near_duplicate(
     Ok(())
 }
 
-/// Cell-by-cell verification of a candidate near-duplicate pair.
-fn rows_match(
-    df: &DataFrame,
-    features: &[usize],
-    a: usize,
-    b: usize,
-    config: &DetectorConfig,
-) -> Result<bool, FrameError> {
+/// Cell-by-cell verification of a candidate near-duplicate pair over the
+/// feature columns' `cells`.
+fn rows_match(cells: &[Vec<Cell>], a: usize, b: usize, config: &DetectorConfig) -> bool {
     let mut matches = 0usize;
-    for &c in features {
-        let col = df.column(c)?;
-        let cell_match = match (col.get(a)?, col.get(b)?) {
-            (comet_frame::Cell::Missing, comet_frame::Cell::Missing) => true,
-            (comet_frame::Cell::Num(x), comet_frame::Cell::Num(y)) => {
+    for column in cells {
+        let cell_match = match (column[a], column[b]) {
+            (Cell::Missing, Cell::Missing) => true,
+            (Cell::Num(x), Cell::Num(y)) => {
                 let ax = x.abs();
                 let ay = y.abs();
                 let mut scale = if ax > ay { ax } else { ay };
@@ -359,14 +373,14 @@ fn rows_match(
                 }
                 (x - y).abs() <= config.dup_rel_tol * scale
             }
-            (comet_frame::Cell::Cat(x), comet_frame::Cell::Cat(y)) => x == y,
+            (Cell::Cat(x), Cell::Cat(y)) => x == y,
             _ => false,
         };
         if cell_match {
             matches += 1;
         }
     }
-    Ok(matches as f64 >= config.dup_match_frac * features.len() as f64)
+    matches as f64 >= config.dup_match_frac * cells.len() as f64
 }
 
 /// Rows whose label disagrees with the strict majority of their `knn_k`
@@ -388,10 +402,13 @@ fn label_disagreement(
     if !(3..=KNN_ROW_CAP).contains(&n) || numeric_features.is_empty() {
         return Ok(());
     }
-    let labels = df.column(label_col)?;
-    if labels.kind() != ColumnKind::Categorical {
+    if df.column(label_col)?.kind() != ColumnKind::Categorical {
         return Ok(());
     }
+    // The neighbour scan reads every label once per row, so the column is
+    // read once up front (per-cell reads would reload spilled segments).
+    let labels: Vec<Option<u32>> =
+        column_cells(df, label_col)?.into_iter().map(Cell::as_cat).collect();
 
     // Standardized numeric feature matrix, row-major; missing → 0 (the mean).
     let d = numeric_features.len();
@@ -410,11 +427,11 @@ fn label_disagreement(
 
     let k = config.knn_k;
     for row in 0..n {
-        let Some(own) = labels.cat(row) else { continue };
+        let Some(own) = labels[row] else { continue };
         // Distances to every other labelled row; ties break on row index.
         let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
         for other in 0..n {
-            if other == row || labels.cat(other).is_none() {
+            if other == row || labels[other].is_none() {
                 continue;
             }
             let mut d2 = 0.0;
@@ -430,7 +447,7 @@ fn label_disagreement(
         dists.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut votes: BTreeMap<u32, usize> = BTreeMap::new();
         for &(_, other) in dists.iter().take(k) {
-            if let Some(code) = labels.cat(other) {
+            if let Some(code) = labels[other] {
                 *votes.entry(code).or_insert(0) += 1;
             }
         }
@@ -456,7 +473,7 @@ fn label_disagreement(
 mod tests {
     use super::*;
     use crate::config::DetectorSet;
-    use comet_frame::{Cell, Column};
+    use comet_frame::Column;
     use comet_jenga::ErrorType;
 
     /// 40 rows: x in a tight band around 11, y ramping from 1000 with a

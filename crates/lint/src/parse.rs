@@ -35,13 +35,13 @@ pub struct Parsed {
     pub items: Vec<Item>,
     /// Workspace crate directory names this file references outside test
     /// regions: `comet_frame` → `frame`, plus the vendored shims (`rand`,
-    /// `proptest`, `criterion`) when used as a path or `use` target.
+    /// `proptest`) when used as a path or `use` target.
     pub crate_refs: BTreeSet<String>,
 }
 
 /// Crates vendored under `crates/` whose package name *is* the directory
 /// name (no `comet_` prefix).
-pub const VENDORED: [&str; 3] = ["rand", "proptest", "criterion"];
+pub const VENDORED: [&str; 2] = ["rand", "proptest"];
 
 pub(crate) fn is_punct(ts: &[Token], k: usize, b: u8) -> bool {
     matches!(ts.get(k), Some(t) if t.tok == Tok::Punct(b))

@@ -147,14 +147,14 @@ impl Scope {
     }
 }
 
-/// Crates allowed to read wall clocks / entropy: the observability layer,
-/// the timing shim, and bench binaries measure time *by design*. The serve
-/// daemon is the *service* layer — deadlines, backoff, and endpoint
-/// latency are wall-clock concepts there; the sessions it hosts still
-/// never read clocks (a deadline reaches comet-core as an externally
-/// raised flag, DESIGN.md §14). A crate the taint computation marks
-/// trace-affecting is scanned by D3 regardless.
-const TIMING_EXEMPT: [&str; 4] = ["obs", "criterion", "bench", "serve"];
+/// Crates allowed to read wall clocks / entropy: the observability layer
+/// and bench binaries measure time *by design*. The serve daemon is the
+/// *service* layer — deadlines, backoff, and endpoint latency are
+/// wall-clock concepts there; the sessions it hosts still never read
+/// clocks (a deadline reaches comet-core as an externally raised flag,
+/// DESIGN.md §14). A crate the taint computation marks trace-affecting is
+/// scanned by D3 regardless.
+const TIMING_EXEMPT: [&str; 3] = ["obs", "bench", "serve"];
 
 /// Crates whose float reductions sit on the evaluation hot path and must
 /// use the fixed-order `kernels` primitives.

@@ -29,12 +29,11 @@
 //! its reference on every input, so results depend on the tier, never on
 //! the hardware.
 //!
-//! Tier selection, highest priority first: [`set_tier`] (sessions apply
-//! their config; the CLI's `--kernels` flag and benches call it
-//! directly), then the `COMET_KERNELS=scalar|simd` environment variable,
-//! then the scalar default. The choice is process-global (parallel
-//! evaluation workers must all agree) and read with a relaxed atomic
-//! load, so a reducing kernel pays one predictable branch per call.
+//! The tier is scalar until [`set_tier`] selects another: sessions apply
+//! their config's tier (the CLI's `--kernels` flag sets it there). The
+//! choice is process-global (parallel evaluation workers must all agree)
+//! and read with a relaxed atomic load, so a reducing kernel pays one
+//! predictable branch per call.
 //!
 //! The `_f32` twins serve the opt-in f32 probe tier (`f32_probes` in
 //! `comet-core`): same lane-order rules in single precision.
@@ -73,15 +72,6 @@ impl KernelTier {
             _ => None,
         }
     }
-
-    /// Resolve the `COMET_KERNELS` environment variable, falling back to
-    /// [`KernelTier::Scalar`] when unset or unparseable.
-    pub fn from_env_or_scalar() -> KernelTier {
-        std::env::var("COMET_KERNELS")
-            .ok()
-            .and_then(|v| KernelTier::parse(&v))
-            .unwrap_or(KernelTier::Scalar)
-    }
 }
 
 impl std::fmt::Display for KernelTier {
@@ -90,27 +80,19 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-/// Unset sentinel; the first [`tier`] read resolves `COMET_KERNELS`.
-const TIER_UNSET: u8 = 0;
-const TIER_SCALAR: u8 = 1;
-const TIER_SIMD: u8 = 2;
+const TIER_SCALAR: u8 = 0;
+const TIER_SIMD: u8 = 1;
 
-/// Process-global tier selection (see module docs for precedence).
-static TIER: AtomicU8 = AtomicU8::new(TIER_UNSET);
+/// Process-global tier selection (see module docs).
+static TIER: AtomicU8 = AtomicU8::new(TIER_SCALAR);
 
-/// The currently selected kernel tier. Resolves `COMET_KERNELS` on the
-/// first call; afterwards a relaxed atomic load.
+/// The currently selected kernel tier: one relaxed atomic load.
 #[inline]
 pub fn tier() -> KernelTier {
-    // comet-lint: allow(D9) — single u8 flag, no dependent data; worst case is one redundant env re-read
+    // comet-lint: allow(D9) — single u8 flag, no dependent data
     match TIER.load(Ordering::Relaxed) {
-        TIER_SCALAR => KernelTier::Scalar,
         TIER_SIMD => KernelTier::Simd,
-        _ => {
-            let t = KernelTier::from_env_or_scalar();
-            set_tier(t);
-            t
-        }
+        _ => KernelTier::Scalar,
     }
 }
 

@@ -181,10 +181,20 @@ mod tests {
         assert_eq!(recall(&[0, 0], &[0, 1], 1), 0.0);
     }
 
+    /// The two tests below switch the process-global recording flag on and
+    /// off; without this lock one can switch it off between the other's
+    /// counted calls.
+    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive_obs() -> std::sync::MutexGuard<'static, ()> {
+        OBS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn single_class_ground_truth_is_defined_and_counted() {
         // All-one-class ground truth: F1 must return defined values (no
         // NaN) and count the event while recording is on.
+        let _obs = exclusive_obs();
         comet_obs::set_enabled(true);
         let before = comet_obs::snapshot().counter("metrics.single_class");
         let f1_all_pos = f1_binary(&[1, 1, 1], &[1, 0, 1], 1);
@@ -219,6 +229,7 @@ mod tests {
 
     #[test]
     fn precision_recall_single_class_is_defined_and_counted() {
+        let _obs = exclusive_obs();
         comet_obs::set_enabled(true);
         let before = comet_obs::snapshot().counter("metrics.single_class");
         let p = precision(&[1, 1, 1], &[1, 0, 1], 1);

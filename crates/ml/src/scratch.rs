@@ -73,11 +73,6 @@ pub fn put_matrix(m: Matrix) {
     put(m.into_buffer());
 }
 
-/// Number of buffers currently pooled (diagnostics/tests).
-pub fn pooled() -> usize {
-    POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,8 +106,10 @@ mod tests {
 
     #[test]
     fn empty_buffers_are_not_pooled() {
-        let before = pooled();
         put(Vec::new());
-        assert_eq!(pooled(), before);
+        // A count taken before and after would race other tests' puts; no
+        // concurrent put can add an empty buffer, so none may be pooled.
+        let pool = POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert!(pool.iter().all(|b| b.capacity() > 0));
     }
 }

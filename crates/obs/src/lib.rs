@@ -1,10 +1,9 @@
 //! # comet-obs — run-metrics observability
 //!
 //! A dependency-free metrics layer for the COMET workspace: counters,
-//! gauges, histograms with fixed bucket boundaries, and scoped span timers
-//! behind one global registry, plus a JSONL run-journal sink
-//! ([`journal`]) and the minimal JSON support ([`json`]) the journal
-//! format needs.
+//! gauges and histograms with fixed bucket boundaries behind one global
+//! registry, plus a JSONL run-journal sink ([`journal`]) and the minimal
+//! JSON support ([`json`]) the journal format needs.
 //!
 //! Design constraints, in priority order:
 //!
@@ -31,7 +30,7 @@ pub mod json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{LazyLock, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Global on/off switch. Off by default; all recording is skipped while off.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -144,44 +143,6 @@ pub fn observe_with(name: &'static str, bounds: &'static [f64], value: f64) {
 /// [`DURATION_BUCKETS`].
 pub fn observe_duration(name: &'static str, d: Duration) {
     observe_with(name, &DURATION_BUCKETS, d.as_secs_f64());
-}
-
-/// A scoped timer: records its lifetime into the duration histogram
-/// `name` on drop (or on [`Span::stop`]). Created disarmed while metrics
-/// are disabled, so an un-dropped span costs nothing.
-#[derive(Debug)]
-pub struct Span {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-/// Start a span. While disabled this neither reads the clock nor records.
-pub fn span(name: &'static str) -> Span {
-    Span { name, start: enabled().then(Instant::now) }
-}
-
-impl Span {
-    /// Elapsed time so far (zero while disarmed).
-    pub fn elapsed(&self) -> Duration {
-        self.start.map_or(Duration::ZERO, |s| s.elapsed())
-    }
-
-    /// Stop early, record, and return the elapsed time.
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.elapsed();
-        if self.start.take().is_some() {
-            observe_duration(self.name, elapsed);
-        }
-        elapsed
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            observe_duration(self.name, start.elapsed());
-        }
-    }
 }
 
 /// Point-in-time copy of one histogram.
@@ -325,9 +286,6 @@ mod tests {
         counter_add("t.counter", 3);
         gauge_set("t.gauge", 1.5);
         observe_duration("t.histogram", Duration::from_millis(5));
-        let span = span("t.span");
-        assert_eq!(span.elapsed(), Duration::ZERO);
-        drop(span);
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -371,22 +329,6 @@ mod tests {
         assert_eq!(h.count, 4);
         assert_eq!(h.min, 0.5);
         assert_eq!(h.max, 100.0);
-    }
-
-    #[test]
-    fn span_records_on_drop_and_stop() {
-        let _guard = exclusive();
-        set_enabled(true);
-        {
-            let _span = span("t.span");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let d = span("t.span").stop();
-        set_enabled(false);
-        assert!(d < Duration::from_millis(50));
-        let h = &snapshot().histograms["t.span"];
-        assert_eq!(h.count, 2);
-        assert!(h.sum >= 0.001, "the slept span must register, got {}", h.sum);
     }
 
     #[test]

@@ -281,8 +281,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         .map_or(Ok(20.0), |s| s.parse().map_err(|e| format!("--budget: {e}")))?;
     let step: f64 =
         flags.get("step").map_or(Ok(0.01), |s| s.parse().map_err(|e| format!("--step: {e}")))?;
-    // Kernel tier precedence: `--kernels` beats `COMET_KERNELS` beats the
-    // scalar default (the config default already resolves the env var).
     let kernels = match flags.get("kernels") {
         None => CometConfig::default().kernels,
         Some(name) => comet::ml::kernels::KernelTier::parse(name)
