@@ -47,6 +47,26 @@ pub struct CheckpointSpec {
     pub resume: bool,
 }
 
+impl CheckpointSpec {
+    /// Refuse a resume that cannot succeed, before the caller reads data
+    /// or tunes a model. The checkpoint must load (a header of this
+    /// build's version) and record the same candidate error set and
+    /// [`CometConfig`] as the resuming session; the error is the
+    /// [`CometError::Checkpoint`] the session would raise after all that
+    /// work. The session still checks its whole identity: the session seed
+    /// and the environment's settings exist only once the data is read.
+    /// A spec that does not resume always passes.
+    pub fn preflight(&self, config: &CometConfig, errors: &[ErrorType]) -> Result<(), CometError> {
+        if !self.resume {
+            return Ok(());
+        }
+        let settings = SessionIdentity::settings(errors, config);
+        let recorded = load(&self.path)?.identity.0.into_iter();
+        let known = recorded.filter(|(name, _)| settings.0.contains_key(name));
+        settings.check_resume(&SessionIdentity(known.collect()))
+    }
+}
+
 fn mix(h: u64, w: u64) -> u64 {
     const M: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     (h.rotate_left(5) ^ w).wrapping_mul(M)
@@ -86,20 +106,28 @@ impl SessionIdentity {
         config: &CometConfig,
         env: &CleaningEnvironment,
     ) -> Self {
-        let config = entries!(CometConfig, config;
-            pollution_steps, n_combinations, budget, costs, interval, blr_degree,
-            use_uncertainty, bias_correction, revert_on_decrease, fallback, kernels,
-            f32_probes, detect, segment_rows,
-        );
         let model = entries!(ModelSpec, env.model(); algorithm, params);
         let evaluation = [
             ("metric", format!("{:?}", env.metric())),
             ("eval_seed", format!("{:?}", env.eval_seed())),
             ("step_train", format!("{:?}", env.step_train())),
             ("step_test", format!("{:?}", env.step_test())),
+            ("session_seed", hex_u64(session_seed)),
         ];
-        let session = [("session_seed", hex_u64(session_seed)), ("errors", format!("{errors:?}"))];
-        let entries = session.into_iter().chain(config).chain(model).chain(evaluation);
+        let mut identity = Self::settings(errors, config);
+        identity.0.extend(model.into_iter().chain(evaluation).map(|(k, v)| (k.to_string(), v)));
+        identity
+    }
+
+    /// The entries known before any data is read: the candidate error set
+    /// and every [`CometConfig`] field.
+    fn settings(errors: &[ErrorType], config: &CometConfig) -> Self {
+        let config = entries!(CometConfig, config;
+            pollution_steps, n_combinations, budget, costs, interval, blr_degree,
+            use_uncertainty, bias_correction, revert_on_decrease, fallback, kernels,
+            f32_probes, detect, segment_rows,
+        );
+        let entries = [("errors", format!("{errors:?}"))].into_iter().chain(config);
         SessionIdentity(entries.map(|(k, v)| (k.to_string(), v)).collect())
     }
 
@@ -137,6 +165,20 @@ impl SessionIdentity {
                 format!("`{name}` (checkpoint {was}, session {now})")
             })
             .collect()
+    }
+
+    /// Refuse to resume a checkpoint recorded under another identity,
+    /// naming every mismatch in one error.
+    fn check_resume(&self, recorded: &SessionIdentity) -> Result<(), CometError> {
+        let mismatches = self.mismatches(recorded);
+        if mismatches.is_empty() {
+            return Ok(());
+        }
+        Err(CometError::Checkpoint(format!(
+            "refusing to resume: the session identity (seed, candidate errors, config and \
+             evaluation settings) differs from the checkpoint's in {}",
+            mismatches.join(", ")
+        )))
     }
 }
 
@@ -276,14 +318,7 @@ impl CheckpointWriter {
     ) -> Result<Self, CometError> {
         let recorded = if spec.resume { Some(load(&spec.path)?) } else { None };
         if let Some(data) = &recorded {
-            let mismatches = identity.mismatches(&data.identity);
-            if !mismatches.is_empty() {
-                return Err(CometError::Checkpoint(format!(
-                    "refusing to resume: the session identity (seed, candidate errors, \
-                     config and evaluation settings) differs from the checkpoint's in {}",
-                    mismatches.join(", ")
-                )));
-            }
+            identity.check_resume(&data.identity)?;
             env.preload_cache(&data.cache);
         }
         let mut writer = CheckpointWriter::create(&spec.path, identity)?;
@@ -581,6 +616,25 @@ mod tests {
         let mut extra = base.clone();
         extra.0.insert("label".into(), "x".into());
         assert_eq!(base.mismatches(&extra), ["`label` (checkpoint x, session <absent>)"]);
+    }
+
+    #[test]
+    fn preflight_compares_only_the_settings_known_before_the_data() {
+        let path = temp_path("preflight.jsonl");
+        drop(CheckpointWriter::create(&path, &identity()).unwrap());
+        let config = CometConfig { segment_rows: 1024, ..CometConfig::default() };
+        let spec = CheckpointSpec { path: path.clone(), resume: true };
+        // The recorded seed and model are not compared: they need the data.
+        spec.preflight(&config, &[ErrorType::MissingValues]).unwrap();
+        let changed = CometConfig { budget: 7.0, ..config };
+        let err = spec.preflight(&changed, &ErrorType::ALL).unwrap_err().to_string();
+        assert!(err.contains("`budget` (checkpoint 50.0, session 7.0)"), "{err}");
+        assert!(err.contains("`errors` (checkpoint [MissingValues], session ["), "{err}");
+        assert_eq!(err.matches("(checkpoint ").count(), 2, "{err}");
+        // Without a resume, nothing is read.
+        let fresh = CheckpointSpec { path: temp_path("absent.jsonl"), resume: false };
+        fresh.preflight(&changed, &ErrorType::ALL).unwrap();
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

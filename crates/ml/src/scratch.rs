@@ -1,7 +1,7 @@
 //! Process-global pool of reusable `f64` buffers (scratch arenas).
 //!
 //! The evaluation hot path builds two dense matrices (train/test features)
-//! plus per-fit gradient scratch for every candidate pollution — hundreds
+//! plus per-fit scratch vectors for every candidate pollution — hundreds
 //! of times per session. Workers are *scoped threads spawned per fan-out*
 //! (see `comet-par`), so thread-local arenas would be torn down after every
 //! `par_map`; instead buffers live in one global pool guarded by a `Mutex`

@@ -184,25 +184,46 @@ impl Glm {
     /// One SGD step on a single sample with the given learning rate
     /// (includes L2 shrinkage).
     pub fn sgd_step(&mut self, row: &[f64], y: u32, lr: f64) {
-        let mut scores = Vec::new();
-        let mut grad = Vec::new();
-        self.sgd_step_scratch(row, y, lr, &mut scores, &mut grad);
+        self.sgd_step_scratch(row, y, lr, &mut Vec::new());
     }
 
-    /// [`Glm::sgd_step`] with caller-owned scratch. The update fuses the L2
-    /// shrink and the gradient step into one [`kernels::scale_axpy`] pass:
-    /// `w = (1 - lr·l2)·w - lr·g`.
-    fn sgd_step_scratch(
-        &mut self,
-        row: &[f64],
-        y: u32,
-        lr: f64,
-        scores: &mut Vec<f64>,
-        grad: &mut Vec<f64>,
-    ) {
-        self.grad_sample_into(row, y, scores, grad);
+    /// [`Glm::sgd_step`] with a caller-owned scores buffer. The step is
+    /// `w = shrink·w + (-lr)·g` with `shrink = 1 - lr·l2`, where class
+    /// `c`'s gradient row is `e·[x, 1]` for its loss coefficient `e`, or
+    /// zero for a hinge class whose margin holds. Each weight row is
+    /// updated in one pass as `shrink·w + (-lr)·(e·x)` (bias
+    /// `shrink·b + (-lr)·e`), and a zero row as `shrink·w + (-lr)·0.0`:
+    /// every weight gets the arithmetic of a [`kernels::scale_axpy`] over
+    /// [`Glm::grad_sample_into`]'s gradient, bit for bit, without
+    /// materializing that gradient.
+    fn sgd_step_scratch(&mut self, row: &[f64], y: u32, lr: f64, scores: &mut Vec<f64>) {
+        self.scores_into(row, scores);
+        if self.loss == Loss::Logistic {
+            softmax(scores);
+        }
         let shrink = 1.0 - lr * self.params.l2;
-        kernels::scale_axpy(shrink, &mut self.weights, -lr, grad);
+        let neg_lr = -lr;
+        for (c, w) in self.weights.chunks_exact_mut(self.dim + 1).enumerate() {
+            let target = y as usize == c;
+            let e = match self.loss {
+                Loss::Hinge => {
+                    let t = if target { 1.0 } else { -1.0 };
+                    (t * scores[c] < 1.0).then_some(-t)
+                }
+                Loss::Logistic | Loss::Squared => Some(scores[c] - if target { 1.0 } else { 0.0 }),
+            };
+            let Some(e) = e else {
+                for wi in w.iter_mut() {
+                    *wi = shrink * *wi + neg_lr * 0.0;
+                }
+                continue;
+            };
+            let (wx, bias) = w.split_at_mut(self.dim);
+            for (wi, xi) in wx.iter_mut().zip(row) {
+                *wi = shrink * *wi + neg_lr * (e * xi);
+            }
+            bias[0] = shrink * bias[0] + neg_lr * e;
+        }
     }
 
     /// Full SGD training: `epochs` shuffled passes with a `1/(1+t)` decayed
@@ -226,7 +247,6 @@ impl Glm {
         let mut blocks: Vec<usize> = (0..n_blocks).collect();
         let mut order: Vec<usize> = (0..n).collect();
         let mut scores = scratch::take(self.n_classes);
-        let mut grad = scratch::take(self.weights.len());
         let mut t = 0usize;
         for _ in 0..self.params.epochs {
             // Fisher–Yates over block order, then within each block. Swaps
@@ -247,12 +267,11 @@ impl Glm {
                 for &i in block.iter() {
                     t += 1;
                     let lr = self.params.learning_rate / (1.0 + 0.01 * t as f64);
-                    self.sgd_step_scratch(x.row(i), y[i], lr, &mut scores, &mut grad);
+                    self.sgd_step_scratch(x.row(i), y[i], lr, &mut scores);
                 }
             }
         }
         scratch::put(scores);
-        scratch::put(grad);
     }
 
     /// Predict a single row (argmax score).
@@ -301,8 +320,9 @@ impl Glm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{KernelTier, TierGuard};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Linearly separable 2-class data: class = sign of first coordinate.
     fn separable(n: usize) -> (Matrix, Vec<u32>) {
@@ -442,6 +462,98 @@ mod tests {
         let p = glm.proba(x.row(0));
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    /// The unfused step that preceded the fused one, kept as the oracle:
+    /// materialize the gradient, then one `scale_axpy` over every weight.
+    fn reference_step(glm: &mut Glm, row: &[f64], y: u32, lr: f64) {
+        let (mut scores, mut grad) = (Vec::new(), Vec::new());
+        glm.grad_sample_into(row, y, &mut scores, &mut grad);
+        let shrink = 1.0 - lr * glm.params.l2;
+        kernels::scale_axpy(shrink, &mut glm.weights, -lr, &grad);
+    }
+
+    /// [`Glm::fit`] driven by [`reference_step`], for fits of one shuffle
+    /// block (a plain Fisher–Yates pass per epoch).
+    fn reference_fit(glm: &mut Glm, x: &Matrix, y: &[u32], n_classes: usize, seed: u64) {
+        assert!(x.nrows() <= SHUFFLE_BLOCK_ROWS);
+        let mut rng = StdRng::seed_from_u64(seed);
+        glm.reset(x.ncols(), n_classes);
+        let mut order: Vec<usize> = (0..x.nrows()).collect();
+        let mut t = 0usize;
+        for _ in 0..glm.params.epochs {
+            for i in (1..order.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                order.swap(i, j);
+            }
+            for &i in &order {
+                t += 1;
+                let lr = glm.params.learning_rate / (1.0 + 0.01 * t as f64);
+                reference_step(glm, x.row(i), y[i], lr);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Mostly ordinary values, with ±0.0, ±1e300, ±inf and NaN mixed in.
+    fn sweep_value(rng: &mut StdRng) -> f64 {
+        const SPECIALS: [f64; 7] =
+            [0.0, -0.0, 1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        if rng.gen_bool(0.1) {
+            SPECIALS[rng.gen_range(0..SPECIALS.len())]
+        } else {
+            rng.gen_range(-3.0..3.0)
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_unfused_reference() {
+        const LOSSES: [Loss; 3] = [Loss::Hinge, Loss::Logistic, Loss::Squared];
+        // 1,000 seeded cases, each run in both tiers.
+        for tier in [KernelTier::Scalar, KernelTier::Simd] {
+            let _g = TierGuard::select(tier);
+            for case in 0..1000u64 {
+                let mut rng = StdRng::seed_from_u64(case);
+                let loss = LOSSES[rng.gen_range(0..LOSSES.len())];
+                let k = rng.gen_range(1..=5usize);
+                let dim = rng.gen_range(0..=40usize);
+                let n = rng.gen_range(1..=24usize);
+                let rows: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..dim).map(|_| sweep_value(&mut rng)).collect()).collect();
+                let x = Matrix::from_vecs(&rows);
+                let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+                let params = SgdParams {
+                    learning_rate: rng.gen_range(0.001..1.0),
+                    l2: [0.0, 1e-4, rng.gen_range(0.0..0.5)][rng.gen_range(0..3usize)],
+                    epochs: rng.gen_range(1..=3usize),
+                };
+                let at = format!("{tier} case {case}: {loss:?} k={k} dim={dim} n={n} {params:?}");
+
+                // Step by step from random weights, at decayed rates.
+                let mut got = Glm::new(loss, params);
+                got.reset(dim, k);
+                got.weights.iter_mut().for_each(|w| *w = sweep_value(&mut rng));
+                let mut want = got.clone();
+                for t in 1..=2 * n {
+                    let i = rng.gen_range(0..n);
+                    let lr = params.learning_rate / (1.0 + 0.01 * t as f64);
+                    got.sgd_step(x.row(i), y[i], lr);
+                    reference_step(&mut want, x.row(i), y[i], lr);
+                    assert_eq!(bits(&got.weights), bits(&want.weights), "step {t}, {at}");
+                }
+
+                // A whole fit, from zero weights.
+                let seed = rng.gen::<u64>();
+                let mut got = Glm::new(loss, params);
+                got.fit(&x, &y, k, &mut StdRng::seed_from_u64(seed));
+                let mut want = Glm::new(loss, params);
+                reference_fit(&mut want, &x, &y, k, seed);
+                assert_eq!(bits(&got.weights), bits(&want.weights), "fit, {at}");
+            }
+        }
     }
 
     #[test]

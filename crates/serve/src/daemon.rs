@@ -789,6 +789,25 @@ fn execute_session(
     manifest: &Manifest,
     control: SessionControl,
 ) -> Result<Option<StopReason>, String> {
+    let algorithm = Algorithm::parse(&manifest.algo)
+        .ok_or_else(|| format!("unknown algorithm {:?}", manifest.algo))?;
+    let detect = manifest.detect.then(comet_detect::DetectorConfig::default);
+    let errors =
+        if detect.is_some() { ErrorType::EXTENDED.to_vec() } else { ErrorType::ALL.to_vec() };
+    let config = CometConfig {
+        budget: manifest.budget,
+        detect,
+        kernels: inner.config.kernels,
+        segment_rows: inner.config.segment_rows,
+        ..CometConfig::default()
+    };
+    let dir = inner.store.session_dir(&manifest.id);
+    let checkpoint = dir.join("checkpoint.jsonl");
+    let spec = CheckpointSpec { resume: checkpoint.exists(), path: checkpoint };
+    // A checkpoint that cannot resume fails the session before its CSVs
+    // are read and its model is tuned.
+    spec.preflight(&config, &errors).map_err(|e| e.to_string())?;
+
     let label = Some(manifest.label.as_str());
     let dirty = read_csv(inner.store.dataset_path(&manifest.dirty), label)
         .map_err(|e| format!("dirty dataset {}: {e}", manifest.dirty))?;
@@ -799,11 +818,6 @@ fn execute_session(
         ),
         None => None,
     };
-    let algorithm = Algorithm::parse(&manifest.algo)
-        .ok_or_else(|| format!("unknown algorithm {:?}", manifest.algo))?;
-    let detect = manifest.detect.then(comet_detect::DetectorConfig::default);
-    let errors =
-        if detect.is_some() { ErrorType::EXTENDED.to_vec() } else { ErrorType::ALL.to_vec() };
 
     // All session randomness flows from the manifest seed: with the
     // content-addressed datasets this makes the trace a pure function of
@@ -824,19 +838,8 @@ fn execute_session(
         env.set_feature_cache_budget((budget / 4).max(1) as usize);
     }
 
-    let config = CometConfig {
-        budget: manifest.budget,
-        detect,
-        kernels: inner.config.kernels,
-        segment_rows: inner.config.segment_rows,
-        ..CometConfig::default()
-    };
-    let dir = inner.store.session_dir(&manifest.id);
-    let checkpoint = dir.join("checkpoint.jsonl");
-    let resume = checkpoint.exists();
-    let mut session = CleaningSession::new(config, errors)
-        .with_checkpoint(CheckpointSpec { path: checkpoint, resume })
-        .with_control(control);
+    let mut session =
+        CleaningSession::new(config, errors).with_checkpoint(spec).with_control(control);
     if let Some(faults) = inner.config.faults.session_faults() {
         session = session.with_faults(faults);
     }

@@ -431,6 +431,52 @@ fn restart_resumes_interrupted_sessions_bit_identically() {
 }
 
 #[test]
+fn unresumable_checkpoints_fail_before_the_datasets_are_read() {
+    // A real checkpoint, from a budget-4 session.
+    let root_a = temp_root("preflight_ref");
+    let daemon = start_daemon(&root_a, 1, 8, ServeFaultPlan::new(Vec::new()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    let (dirty, clean) = upload_pair(&mut client, 120);
+    let id =
+        str_field(&client.request_ok(&start_req(&dirty, &clean, 4.0, 9, None)).unwrap(), "session");
+    wait_status(&mut client, &id, |v| str_field(v, "status") == "done");
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+    let session_a = root_a.join("sessions").join(&id);
+    let checkpoint = std::fs::read_to_string(session_a.join("checkpoint.jsonl")).unwrap();
+    assert!(checkpoint.contains("\"version\":3"), "{checkpoint}");
+    let manifest =
+        Manifest::parse(&std::fs::read_to_string(session_a.join("manifest.json")).unwrap())
+            .unwrap();
+
+    // Two interrupted sessions in a store without their datasets: reading
+    // them would fail the session with another error.
+    let root_b = temp_root("preflight_refused");
+    let store = SessionStore::open(&root_b).unwrap();
+    let interrupted = |id: &str, budget: f64, checkpoint: String| {
+        let m = Manifest { id: id.into(), budget, status: "running".into(), ..manifest.clone() };
+        store.write_manifest(&m).unwrap();
+        std::fs::write(store.session_dir(id).join("checkpoint.jsonl"), checkpoint).unwrap();
+    };
+    interrupted("s00000001", 2.0, checkpoint.clone());
+    interrupted("s00000002", 4.0, checkpoint.replacen("\"version\":3", "\"version\":2", 1));
+
+    let daemon = start_daemon(&root_b, 1, 8, ServeFaultPlan::new(Vec::new()));
+    let mut client = Client::connect(daemon.port()).unwrap();
+    for (id, expected) in [
+        ("s00000001", "`budget` (checkpoint 4.0, session 2.0)"),
+        ("s00000002", "checkpoint header version 2 is not supported"),
+    ] {
+        let status = wait_status(&mut client, id, |v| str_field(v, "status") == "failed");
+        let error = str_field(&status, "error");
+        assert!(error.starts_with("checkpoint error: "), "{id}: {error}");
+        assert!(error.contains(expected), "{id}: {error}");
+    }
+    client.request_ok("{\"cmd\":\"drain\"}").unwrap();
+    daemon.join();
+}
+
+#[test]
 fn injected_service_faults_disconnect_and_stall() {
     let root = temp_root("faults");
     let plan = ServeFaultPlan::new(vec![

@@ -300,11 +300,26 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     if !(step > 0.0 && step <= 1.0) {
         return Err(format!("invalid configuration: step_frac must be in (0,1], got {step}"));
     }
+    // Which error types does the dirt look like? Oracle mode runs the
+    // paper's four (the provenance derived from the diff uses those
+    // heuristically). Detection mode runs the full extended taxonomy: the
+    // ensemble attributes families like outliers and near-duplicates that
+    // the diff heuristic never emits.
+    let errors = if config.detect.is_some() {
+        ErrorType::EXTENDED.to_vec()
+    } else {
+        ErrorType::ALL.to_vec()
+    };
     let resume = flags.contains_key("resume");
     let checkpoint =
         flags.get("checkpoint").map(|path| CheckpointSpec { path: path.into(), resume });
     if resume && checkpoint.is_none() {
         return Err("--resume requires --checkpoint FILE".into());
+    }
+    // A checkpoint that cannot resume is refused before the CSVs are read
+    // and the model is tuned; the session checks the rest of its identity.
+    if let Some(spec) = &checkpoint {
+        spec.preflight(&config, &errors).map_err(|e| e.to_string())?;
     }
     let mut rng = StdRng::seed_from_u64(seed_of(&flags)?);
 
@@ -350,17 +365,6 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         // dropped (recomputed from segments), never spilled.
         env.set_feature_cache_budget((budget / 4).max(1) as usize);
     }
-    // Which error types does the dirt look like? Oracle mode runs the
-    // paper's four (the provenance derived from the diff uses those
-    // heuristically). Detection mode runs the full extended taxonomy: the
-    // ensemble attributes families like outliers and near-duplicates that
-    // the diff heuristic never emits.
-    let errors = if config.detect.is_some() {
-        ErrorType::EXTENDED.to_vec()
-    } else {
-        ErrorType::ALL.to_vec()
-    };
-
     // `--metrics-out` turns on the observability registry for this run and
     // streams the JSONL journal to the given path while the session runs.
     let metrics_out = flags.get("metrics-out");

@@ -314,3 +314,73 @@ fn recommend_compares_categories_by_label_across_dictionaries() {
     assert_eq!(cleaned, 48, "{trace}");
     fs::remove_dir_all(dir).ok();
 }
+
+/// A resume the checkpoint cannot serve is refused before the CSVs are
+/// read and the model is tuned: no `dirty F1` line, one typed error.
+#[test]
+fn unresumable_checkpoints_are_refused_before_any_work() {
+    let dir = temp_dir("preflight");
+    let (clean, dirty, ckpt) =
+        (dir.join("clean.csv"), dir.join("dirty.csv"), dir.join("checkpoint.jsonl"));
+    write_clean_csv(&clean, 160);
+    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
+    let (clean_s, dirty_s, ckpt_s) = (path(&clean), path(&dirty), path(&ckpt));
+    let out = comet()
+        .args([
+            "pollute", "--input", &clean_s, "--label", "y", "--error", "mv", "--level", "0.3",
+            "--output", &dirty_s, "--seed", "5",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let recommend = |budget: &str, resume: bool| {
+        let mut args = vec![
+            "recommend",
+            "--dirty",
+            &dirty_s,
+            "--clean",
+            &clean_s,
+            "--label",
+            "y",
+            "--budget",
+            budget,
+            "--step",
+            "0.05",
+            "--seed",
+            "5",
+            "--checkpoint",
+            &ckpt_s,
+        ];
+        if resume {
+            args.push("--resume");
+        }
+        comet().args(args).output().unwrap()
+    };
+    let out = recommend("2", false);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let header = fs::read_to_string(&ckpt).unwrap();
+    assert!(header.contains("\"version\":3"), "{header}");
+
+    // The same settings resume.
+    let out = recommend("2", true);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // A changed budget names the field.
+    let out = recommend("3", true);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stdout.contains("dirty F1"), "{stdout}");
+    assert!(stderr.contains("checkpoint error: refusing to resume"), "{stderr}");
+    assert!(stderr.contains("`budget` (checkpoint 2.0, session 3.0)"), "{stderr}");
+
+    // A version-2 header is refused by version.
+    fs::write(&ckpt, header.replacen("\"version\":3", "\"version\":2", 1)).unwrap();
+    let out = recommend("2", true);
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stdout.contains("dirty F1"), "{stdout}");
+    assert!(stderr.contains("checkpoint header version 2 is not supported"), "{stderr}");
+    fs::remove_dir_all(dir).ok();
+}
