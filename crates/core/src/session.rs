@@ -1315,6 +1315,9 @@ mod tests {
 
     #[test]
     fn exhausted_checkpoint_write_retries_surface_a_typed_error() {
+        // Its injected write faults bump the same process-global counters
+        // the transient-fault test above asserts on.
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let mut env = build_env(31, 240, vec![(0, 0.3)], Algorithm::Knn);
         let path = ckpt_path("io_permanent.jsonl");
         let plan = FaultPlan::new(vec![FaultSpec {

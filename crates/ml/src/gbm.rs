@@ -147,6 +147,7 @@ impl Classifier for GradientBoostingClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -230,25 +231,6 @@ mod tests {
         assert!(fit_acc(25) >= fit_acc(2) - 1e-9);
     }
 
-    /// FNV-1a 64 over a string.
-    fn fnv1a(s: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in s.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
-
-    /// A fixed value in [0, 1) per index (SplitMix64 finalizer), so the
-    /// golden data depends on no RNG implementation.
-    fn unit(i: u64) -> f64 {
-        let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// A fixed `n × 5` dataset with `k` noisy classes and tied columns: a
     /// continuous signal, the signal coarsened to half units, a one-hot
     /// indicator, an exact copy of column 0 and a constant.
@@ -256,10 +238,10 @@ mod tests {
         let mut rows = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n as u64 {
-            let class = ((unit(3 * i) * k as f64) as usize).min(k - 1);
-            let signal = class as f64 + 1.5 * (unit(3 * i + 1) - 0.5);
+            let class = ((golden::unit(3 * i) * k as f64) as usize).min(k - 1);
+            let signal = class as f64 + 1.5 * (golden::unit(3 * i + 1) - 0.5);
             let coarse = (2.0 * signal).round() / 2.0;
-            let flag = if unit(3 * i + 2) < 0.3 { 1.0 } else { 0.0 };
+            let flag = if golden::unit(3 * i + 2) < 0.3 { 1.0 } else { 0.0 };
             rows.push(vec![signal, coarse, flag, signal, 1.0]);
             // One label in ten is flipped so no round fits the data exactly.
             let label = if i % 10 == 7 { (class + 1) % k } else { class };
@@ -278,7 +260,7 @@ mod tests {
             let mut gb = GradientBoostingClassifier::default();
             gb.fit(&x, &y, k, &mut StdRng::seed_from_u64(0));
             assert_eq!(gb.n_rounds_fitted(), 30);
-            let got = fnv1a(&format!("{gb:?}"));
+            let got = golden::fnv1a(format!("{gb:?}").bytes());
             assert_eq!(got, want, "{k}-class model digest {got:#018x} != {want:#018x}");
         }
     }

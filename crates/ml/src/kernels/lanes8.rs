@@ -50,6 +50,24 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     combine8(&l) + tail
 }
 
+/// The simd tier's fused SGD row kernel ([`super::SgdRow`]), defined as
+/// [`super::sgd_row_update`] followed by the updated row's score on `next`,
+/// `dot(&w[..d], next) + w[d]`. The portable reference for
+/// [`super::x86::sgd_row_update_dot_avx2`] at 8 lanes.
+#[inline]
+pub fn sgd_row_update_dot(
+    w: &mut [f64],
+    x: &[f64],
+    e: Option<f64>,
+    shrink: f64,
+    neg_lr: f64,
+    next: &[f64],
+) -> f64 {
+    super::sgd_row_update(w, x, e, shrink, neg_lr);
+    let (wx, bias) = w.split_at(x.len());
+    dot(wx, next) + bias[0]
+}
+
 /// Transposed matrix–vector product with bias over a row-major `d × h`
 /// matrix `at`: `out[j] = dot(column j of at, x) + bias[j]`, each column
 /// reduced in exactly [`dot`]'s 8-lane order (lane `k % 8`, [`combine8`],

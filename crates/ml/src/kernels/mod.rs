@@ -2,8 +2,9 @@
 //!
 //! The kernel tier decides exactly one thing: the reduction order of the
 //! reducing kernels [`dot`], [`sq_dist`], [`matvec`], [`matvec_bias`],
-//! [`matvec_t_bias`] and their `_f32` twins. Each tier has a portable
-//! reference module that *defines* its order:
+//! [`matvec_t_bias`], the fused SGD row kernel ([`SgdRow`]) and their
+//! `_f32` twins. Each tier has a portable reference module that *defines*
+//! its order:
 //!
 //! * [`KernelTier::Scalar`] (default) — [`scalar`]: four independent
 //!   accumulator lanes combined as `(l0 + l1) + (l2 + l3)` plus a
@@ -17,17 +18,24 @@
 //! `comet-core`: a checkpoint taken under one tier refuses to resume under
 //! the other.
 //!
-//! The order-free kernels never read the tier. [`axpy`], [`scale_axpy`]
-//! and their `_f32` twins are element-wise, and [`matmul`] gives every
-//! output cell one k-ascending add chain, so each has a single
-//! implementation with the same bits whichever tier is selected.
+//! The order-free kernels never read the tier. [`axpy`], [`scale_axpy`],
+//! [`sgd_row_update`] and the `_f32` twins are element-wise, and
+//! [`matmul`] gives every output cell one k-ascending add chain, so each
+//! has a single implementation with the same bits whichever tier is
+//! selected.
 //!
 //! Below the tier the only dispatch is AVX2 or the portable reference: a
-//! kernel with an encoding in [`x86`] (the simd tier's `dot`/`sq_dist`,
-//! both tiers' `matvec_t_bias`, and `matmul`) runs it when the CPU has
-//! AVX2, and its reference otherwise. Every encoding is bit-identical to
-//! its reference on every input, so results depend on the tier, never on
-//! the hardware.
+//! kernel with an encoding in [`x86`] runs it when the CPU has AVX2, and
+//! its reference otherwise. The encodings are the simd tier's `dot`,
+//! `sq_dist` and their `_f32` twins (so its `matvec` family too), both
+//! tiers' `matvec_t_bias` and fused SGD row kernel, and the tier-free
+//! `matmul`/`matmul_f32`. Every encoding is bit-identical to its
+//! reference on every input (NaN signs aside, which Rust leaves
+//! unspecified), so results depend on the tier, never on the hardware.
+//!
+//! [`with_sgd_row`] resolves the tier and AVX2 support once for a whole
+//! loop, not per call: `Glm::fit` runs its epochs through it, so the
+//! fused kernel inlines into the per-sample loop.
 //!
 //! The tier is scalar until [`set_tier`] selects another: sessions apply
 //! their config's tier (the CLI's `--kernels` flag sets it there). The
@@ -155,6 +163,112 @@ pub fn scale_axpy(alpha: f64, y: &mut [f64], beta: f64, x: &[f64]) {
     }
     for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
         *yi = alpha * *yi + beta * xi;
+    }
+}
+
+/// One class's SGD weight-row update. `w` is the row `[w_0 .. w_{d-1}, b]`
+/// and `x` the sample's `d` features. With a loss coefficient `Some(e)`
+/// (the class's gradient row is `e·[x, 1]`) each weight becomes
+/// `shrink·w[i] + neg_lr·(e·x[i])` and the bias `shrink·b + neg_lr·e`;
+/// with `None` (a zero gradient row: a hinge class whose margin holds)
+/// every entry becomes `shrink·w[i] + neg_lr·0.0`. These are the two
+/// multiplies and one add of a [`scale_axpy`] over the gradient row, so the
+/// tier is not read.
+///
+/// `w` must hold `x.len() + 1` entries (checked in debug builds).
+#[inline]
+pub fn sgd_row_update(w: &mut [f64], x: &[f64], e: Option<f64>, shrink: f64, neg_lr: f64) {
+    debug_assert_eq!(w.len(), x.len() + 1, "sgd row shape mismatch");
+    let Some(e) = e else {
+        for wi in w.iter_mut() {
+            *wi = shrink * *wi + neg_lr * 0.0;
+        }
+        return;
+    };
+    let (wx, bias) = w.split_at_mut(x.len());
+    for (wi, xi) in wx.iter_mut().zip(x) {
+        *wi = shrink * *wi + neg_lr * (e * xi);
+    }
+    bias[0] = shrink * bias[0] + neg_lr * e;
+}
+
+/// The fused SGD row kernel: [`sgd_row_update`] on `w`, and in the same
+/// pass the updated row's score on the next sample, `dot(&w[..d], next) +
+/// w[d]` in the selected tier's [`dot`] order. Every updated weight and
+/// every non-NaN score has the bits of the update followed by that `dot`;
+/// a NaN score may differ in sign, which Rust leaves unspecified. Loops
+/// get one from [`with_sgd_row`].
+pub trait SgdRow: Copy {
+    /// Update `w` (`x.len() + 1` entries, bias last) and return its score
+    /// on `next` (`x.len()` entries).
+    fn update_score(
+        self,
+        w: &mut [f64],
+        x: &[f64],
+        e: Option<f64>,
+        shrink: f64,
+        neg_lr: f64,
+        next: &[f64],
+    ) -> f64;
+}
+
+/// A loop generic over the fused SGD row kernel, run by [`with_sgd_row`].
+pub trait SgdRowLoop {
+    /// What the loop returns.
+    type Output;
+    /// Run the loop with `kernel`.
+    fn run<K: SgdRow>(self, kernel: K) -> Self::Output;
+}
+
+/// The portable fused SGD row kernels, the per-tier references:
+/// [`scalar::sgd_row_update_dot`] for 4 lanes and
+/// [`lanes8::sgd_row_update_dot`] for 8.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortableRow<const LANES: usize>;
+
+impl<const LANES: usize> SgdRow for PortableRow<LANES> {
+    #[inline(always)]
+    fn update_score(
+        self,
+        w: &mut [f64],
+        x: &[f64],
+        e: Option<f64>,
+        shrink: f64,
+        neg_lr: f64,
+        next: &[f64],
+    ) -> f64 {
+        const { assert!(LANES == 4 || LANES == 8, "the two tiers' dot orders") };
+        if LANES == 4 {
+            scalar::sgd_row_update_dot(w, x, e, shrink, neg_lr, next)
+        } else {
+            lanes8::sgd_row_update_dot(w, x, e, shrink, neg_lr, next)
+        }
+    }
+}
+
+/// Run `l` with the selected tier's fused SGD row kernel, reading the tier
+/// and AVX2 support once for the whole loop instead of once per row. With
+/// AVX2, `l` runs inside an AVX2-enabled frame
+/// ([`x86::with_sgd_row_avx2`]), so the kernel inlines into its loop;
+/// otherwise it runs with the tier's portable reference.
+#[inline]
+pub fn with_sgd_row<L: SgdRowLoop>(l: L) -> L::Output {
+    let lanes8 = tier() == KernelTier::Simd;
+    #[cfg(target_arch = "x86_64")]
+    if x86::has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime just above.
+        return unsafe {
+            if lanes8 {
+                x86::with_sgd_row_avx2::<8, L>(l)
+            } else {
+                x86::with_sgd_row_avx2::<4, L>(l)
+            }
+        };
+    }
+    if lanes8 {
+        l.run(PortableRow::<8>)
+    } else {
+        l.run(PortableRow::<4>)
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! Only the reducing kernels live here, because the tier decides nothing
 //! else. [`super`] runs `dot` and `sq_dist` from this module as they are;
-//! `matvec_t_bias` runs its AVX2 encoding
-//! ([`super::x86::matvec_t_bias4_avx2`]) when the CPU has AVX2 and this
+//! `matvec_t_bias` and `sgd_row_update_dot` run their AVX2 encodings
+//! ([`super::x86::matvec_t_bias4_avx2`],
+//! [`super::x86::sgd_row_update_dot_avx2`]) when the CPU has AVX2 and this
 //! reference otherwise. The element-wise kernels have one tier-free
 //! implementation in [`super`].
 //!
@@ -41,6 +42,24 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         tail += x * y;
     }
     ((l0 + l1) + (l2 + l3)) + tail
+}
+
+/// The scalar tier's fused SGD row kernel ([`super::SgdRow`]), defined as
+/// [`super::sgd_row_update`] followed by the updated row's score on `next`,
+/// `dot(&w[..d], next) + w[d]`. The portable reference for
+/// [`super::x86::sgd_row_update_dot_avx2`] at 4 lanes.
+#[inline]
+pub fn sgd_row_update_dot(
+    w: &mut [f64],
+    x: &[f64],
+    e: Option<f64>,
+    shrink: f64,
+    neg_lr: f64,
+    next: &[f64],
+) -> f64 {
+    super::sgd_row_update(w, x, e, shrink, neg_lr);
+    let (wx, bias) = w.split_at(x.len());
+    dot(wx, next) + bias[0]
 }
 
 /// Transposed matrix–vector product with bias over a row-major `d × h`

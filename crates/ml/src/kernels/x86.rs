@@ -1,13 +1,17 @@
 //! x86_64 AVX2 encodings of the kernels that have one: the simd tier's
 //! reductions (`dot`, `sq_dist` and their f32 twins), both tiers'
-//! `matvec_t_bias`, and the tier-free `matmul`/`matmul_f32`.
+//! `matvec_t_bias` and fused SGD row kernel, and the tier-free
+//! `matmul`/`matmul_f32`.
 //!
 //! Every function here is required to be **bit-identical** to its
 //! portable reference on every input: [`super::lanes8`] for the simd
-//! tier's reductions and [`matvec_t_bias8_avx2`], [`super::scalar`] for
-//! [`matvec_t_bias4_avx2`], and the k-ascending i-k-j loop for the
-//! matmuls. The lane assignment and combine order are the reference's;
-//! only the instruction encoding differs:
+//! tier's reductions, [`matvec_t_bias8_avx2`] and
+//! [`sgd_row_update_dot_avx2`]`::<8>`, [`super::scalar`] for
+//! [`matvec_t_bias4_avx2`] and [`sgd_row_update_dot_avx2`]`::<4>`, and
+//! the k-ascending i-k-j loop for the matmuls. Only a NaN result's sign
+//! and payload may differ, which Rust leaves unspecified for the compiled
+//! references too. The lane assignment and combine order are the
+//! reference's; only the instruction encoding differs:
 //!
 //! * The 8-lane reductions keep lanes `l0..l3` in the low 256-bit
 //!   accumulator and `l4..l7` in the high one (one register each for f64;
@@ -19,6 +23,10 @@
 //!   the reference's order, so no horizontal add is needed at all.
 //! * The matmuls give each output cell its own accumulator lane, one add
 //!   per k in ascending order.
+//! * The fused SGD row kernel updates a vector of weights as the
+//!   element-wise [`super::sgd_row_update`] does and feeds it, still in a
+//!   register, into the 4- or 8-lane dot accumulators of the next
+//!   sample's score.
 //!
 //! No fused multiply–add: FMA rounds once where the reference's
 //! mul-then-add rounds twice, so `_mm256_fmadd_pd` and friends are
@@ -28,8 +36,10 @@
 //!
 //! Dispatch lives in [`super`]: a kernel with an encoding here runs it
 //! when [`has_avx2`] holds and its portable reference otherwise; there is
-//! no other ISA path. The tests in `tests/kernel_tiers.rs` check every
-//! encoding against its reference.
+//! no other ISA path. The fused SGD row kernel is dispatched once per
+//! loop ([`super::with_sgd_row`]), which runs the loop inside
+//! [`with_sgd_row_avx2`]'s AVX2 frame. The tests in
+//! `tests/kernel_tiers.rs` check every encoding against its reference.
 
 use core::arch::x86_64::{
     __m128, __m256, _mm256_add_pd, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps,
@@ -209,6 +219,133 @@ pub unsafe fn matvec_t_bias8_avx2(
         j += 4;
     }
     super::lanes8::matvec_t_bias_from(at, d, h, x, bias, out, j);
+}
+
+/// The fused SGD row kernel ([`super::SgdRow`]) via AVX2 in the `LANES`-lane
+/// dot order: bit-identical to [`super::scalar::sgd_row_update_dot`] for 4
+/// lanes and [`super::lanes8::sgd_row_update_dot`] for 8, NaN signs aside.
+///
+/// One pass over the row: each 4-wide vector of weights is updated exactly
+/// as [`super::sgd_row_update`] updates it (`shrink·w + neg_lr·(e·x)`, or
+/// `shrink·w + neg_lr·0.0` without a coefficient; separate multiplies and
+/// adds, no FMA), stored, and multiplied by the next sample's features
+/// into the dot lanes while still in a register. Element `k` of the
+/// `LANES`-wide body goes to lane `k % LANES` (`LANES / 4` accumulators),
+/// the rest to a sequential tail, and the combine is the reference dot's:
+/// `(l0 + l1) + (l2 + l3)` for 4 lanes, [`super::lanes8::combine8`] for 8,
+/// then the tail, then the updated bias.
+///
+/// Panics unless `w.len() == x.len() + 1 == next.len() + 1`.
+///
+/// # Safety
+/// The CPU must support AVX2 ([`has_avx2`]).
+#[inline]
+// SAFETY: asserts the shapes on entry, which `row_update_dot` relies on.
+#[target_feature(enable = "avx2")]
+pub unsafe fn sgd_row_update_dot_avx2<const LANES: usize>(
+    w: &mut [f64],
+    x: &[f64],
+    e: Option<f64>,
+    shrink: f64,
+    neg_lr: f64,
+    next: &[f64],
+) -> f64 {
+    let d = x.len();
+    assert!(w.len() == d + 1 && next.len() == d, "sgd row shape mismatch");
+    let (lanes, tail) = match e {
+        Some(e) => row_update_dot::<LANES, true>(w, x, e, shrink, neg_lr, next),
+        None => row_update_dot::<LANES, false>(w, x, 0.0, shrink, neg_lr, next),
+    };
+    w[d] = shrink * w[d] + neg_lr * e.unwrap_or(0.0);
+    (lanes + tail) + w[d]
+}
+
+/// The weights of [`sgd_row_update_dot_avx2`]: updates `w[..d]` (with the
+/// coefficient `e` when `GRAD`, the `neg_lr·0.0` term otherwise) and returns
+/// the combined dot lanes and the tail of the updated weights on `next`.
+///
+/// # Safety
+/// The CPU must support AVX2; `w` must hold at least `d = x.len()` entries
+/// and `next` exactly `d`.
+// SAFETY: loads and stores stay inside w/x/next[..d] (k + LANES <= body <= d).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_update_dot<const LANES: usize, const GRAD: bool>(
+    w: &mut [f64],
+    x: &[f64],
+    e: f64,
+    shrink: f64,
+    neg_lr: f64,
+    next: &[f64],
+) -> (f64, f64) {
+    const { assert!(LANES == 4 || LANES == 8, "the two tiers' dot orders") };
+    let d = x.len();
+    let body = d / LANES * LANES;
+    let (wp, xp, np) = (w.as_mut_ptr(), x.as_ptr(), next.as_ptr());
+    let (sv, lrv, ev) = (_mm256_set1_pd(shrink), _mm256_set1_pd(neg_lr), _mm256_set1_pd(e));
+    let zero_term = neg_lr * 0.0;
+    let zv = _mm256_set1_pd(zero_term);
+    let mut acc = [_mm256_setzero_pd(); 2];
+    let mut k = 0;
+    while k < body {
+        for (v, a) in acc.iter_mut().take(LANES / 4).enumerate() {
+            let i = k + 4 * v;
+            let term = if GRAD {
+                _mm256_mul_pd(lrv, _mm256_mul_pd(ev, _mm256_loadu_pd(xp.add(i))))
+            } else {
+                zv
+            };
+            let wv = _mm256_add_pd(_mm256_mul_pd(sv, _mm256_loadu_pd(wp.add(i))), term);
+            _mm256_storeu_pd(wp.add(i), wv);
+            *a = _mm256_add_pd(*a, _mm256_mul_pd(wv, _mm256_loadu_pd(np.add(i))));
+        }
+        k += LANES;
+    }
+    let mut tail = 0.0;
+    for i in body..d {
+        let term = if GRAD { neg_lr * (e * x[i]) } else { zero_term };
+        w[i] = shrink * w[i] + term;
+        tail += w[i] * next[i];
+    }
+    let mut s = [0.0f64; 4];
+    let lanes = if LANES == 4 { acc[0] } else { _mm256_add_pd(acc[0], acc[1]) };
+    _mm256_storeu_pd(s.as_mut_ptr(), lanes);
+    (combine4(s), tail)
+}
+
+/// [`super::SgdRow`] by AVX2 at `LANES` dot lanes
+/// ([`sgd_row_update_dot_avx2`]). Only [`with_sgd_row_avx2`] makes one, so
+/// holding one proves that this CPU has AVX2.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx2Row<const LANES: usize>(());
+
+impl<const LANES: usize> super::SgdRow for Avx2Row<LANES> {
+    #[inline(always)]
+    fn update_score(
+        self,
+        w: &mut [f64],
+        x: &[f64],
+        e: Option<f64>,
+        shrink: f64,
+        neg_lr: f64,
+        next: &[f64],
+    ) -> f64 {
+        // SAFETY: an `Avx2Row` is made only by `with_sgd_row_avx2`, whose
+        // caller verified that this CPU supports AVX2.
+        unsafe { sgd_row_update_dot_avx2::<LANES>(w, x, e, shrink, neg_lr, next) }
+    }
+}
+
+/// Run `l` with the `LANES`-lane AVX2 row kernel inside an AVX2-enabled frame:
+/// the loop is compiled for AVX2 where it is inlined here, so the kernel
+/// inlines into it instead of costing a call per row.
+///
+/// # Safety
+/// The CPU must support AVX2 ([`has_avx2`]).
+// SAFETY: the `Avx2Row` made here rests on the caller's AVX2 guarantee.
+#[target_feature(enable = "avx2")]
+pub unsafe fn with_sgd_row_avx2<const LANES: usize, L: super::SgdRowLoop>(l: L) -> L::Output {
+    l.run(Avx2Row::<LANES>(()))
 }
 
 /// [`super::lanes8::sq_dist`] via AVX2, bit-identical.

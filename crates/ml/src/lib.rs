@@ -28,6 +28,8 @@ pub mod f32tier;
 mod featurize;
 mod forest;
 mod gbm;
+#[cfg(test)]
+mod golden;
 pub mod kernels;
 mod knn;
 mod linear;

@@ -252,6 +252,7 @@ impl Classifier for MlpClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden;
     use crate::kernels::{KernelTier, TierGuard};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -486,44 +487,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a 64 over a string.
-    fn fnv1a(s: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in s.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
-
-    /// A fixed value in [0, 1) per index (SplitMix64 finalizer), so the
-    /// golden data depends on no RNG implementation.
-    fn unit(i: u64) -> f64 {
-        let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// A fixed `n × 6` dataset with `k` noisy classes: two continuous
-    /// signals, a one-hot pair, the first signal coarsened to half units
-    /// and a constant.
-    fn golden_data(n: usize, k: usize) -> (Matrix, Vec<u32>) {
-        let mut rows = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let class = ((unit(4 * i) * k as f64) as usize).min(k - 1);
-            let a = class as f64 + 1.2 * (unit(4 * i + 1) - 0.5);
-            let b = 0.7 * class as f64 - 0.9 * (unit(4 * i + 2) - 0.5);
-            let hot = if unit(4 * i + 3) < 0.4 { 1.0 } else { 0.0 };
-            rows.push(vec![a, b, hot, 1.0 - hot, (2.0 * a).round() / 2.0, 1.0]);
-            // One label in ten is flipped so no epoch fits the data exactly.
-            let label = if i % 10 == 3 { (class + 1) % k } else { class };
-            labels.push(label as u32);
-        }
-        (Matrix::from_vecs(&rows), labels)
-    }
-
     #[test]
     fn default_fit_matches_golden_digest() {
         // Digests of `{model:?}` recorded with the per-sample `matvec_bias`
@@ -546,10 +509,10 @@ mod tests {
         for tier in [KernelTier::Scalar, KernelTier::Simd] {
             let _g = TierGuard::select(tier);
             for &(_, k, hidden, want) in GOLDEN.iter().filter(|g| g.0 == tier) {
-                let (x, y) = golden_data(if k == 2 { 160 } else { 150 }, k);
+                let (x, y) = golden::dataset(if k == 2 { 160 } else { 150 }, k);
                 let mut mlp = MlpClassifier::new(MlpParams { hidden, ..MlpParams::default() });
                 mlp.fit(&x, &y, k, &mut StdRng::seed_from_u64(0));
-                let got = fnv1a(&format!("{mlp:?}"));
+                let got = golden::fnv1a(format!("{mlp:?}").bytes());
                 assert_eq!(
                     got, want,
                     "{tier} {k}-class hidden {hidden}: {got:#018x} != {want:#018x}"

@@ -184,20 +184,33 @@ impl Glm {
     /// One SGD step on a single sample with the given learning rate
     /// (includes L2 shrinkage).
     pub fn sgd_step(&mut self, row: &[f64], y: u32, lr: f64) {
-        self.sgd_step_scratch(row, y, lr, &mut Vec::new());
+        let mut scores = Vec::new();
+        self.scores_into(row, &mut scores);
+        self.step_scored(row, y, lr, &mut scores, None::<(kernels::PortableRow<4>, &[f64])>);
     }
 
-    /// [`Glm::sgd_step`] with a caller-owned scores buffer. The step is
-    /// `w = shrink·w + (-lr)·g` with `shrink = 1 - lr·l2`, where class
-    /// `c`'s gradient row is `e·[x, 1]` for its loss coefficient `e`, or
-    /// zero for a hinge class whose margin holds. Each weight row is
-    /// updated in one pass as `shrink·w + (-lr)·(e·x)` (bias
-    /// `shrink·b + (-lr)·e`), and a zero row as `shrink·w + (-lr)·0.0`:
-    /// every weight gets the arithmetic of a [`kernels::scale_axpy`] over
-    /// [`Glm::grad_sample_into`]'s gradient, bit for bit, without
-    /// materializing that gradient.
-    fn sgd_step_scratch(&mut self, row: &[f64], y: u32, lr: f64, scores: &mut Vec<f64>) {
-        self.scores_into(row, scores);
+    /// One SGD step on `row`, whose raw scores `scores` holds. The step is
+    /// `w = shrink·w + (-lr)·g` with `shrink = 1 - lr·l2`, where class `c`'s
+    /// gradient row is `e·[x, 1]` for its loss coefficient `e`, or zero for
+    /// a hinge class whose margin holds. [`kernels::sgd_row_update`] applies
+    /// it to each weight row in one pass, with the arithmetic of a
+    /// [`kernels::scale_axpy`] over [`Glm::grad_sample_into`]'s gradient,
+    /// bit for bit, without materializing that gradient.
+    ///
+    /// With `ahead = Some((kernel, next))` the fused kernel updates each row
+    /// instead and leaves in `scores[c]` the updated row's raw score on
+    /// `next`, the value [`Glm::scores_into`] would give after the step.
+    /// Class `c`'s coefficient is read from `scores[c]` before the kernel
+    /// overwrites it, and no other row feeds that score.
+    #[inline(always)]
+    fn step_scored<K: kernels::SgdRow>(
+        &mut self,
+        row: &[f64],
+        y: u32,
+        lr: f64,
+        scores: &mut [f64],
+        ahead: Option<(K, &[f64])>,
+    ) {
         if self.loss == Loss::Logistic {
             softmax(scores);
         }
@@ -212,17 +225,12 @@ impl Glm {
                 }
                 Loss::Logistic | Loss::Squared => Some(scores[c] - if target { 1.0 } else { 0.0 }),
             };
-            let Some(e) = e else {
-                for wi in w.iter_mut() {
-                    *wi = shrink * *wi + neg_lr * 0.0;
+            match ahead {
+                Some((kernel, next)) => {
+                    scores[c] = kernel.update_score(w, row, e, shrink, neg_lr, next);
                 }
-                continue;
-            };
-            let (wx, bias) = w.split_at_mut(self.dim);
-            for (wi, xi) in wx.iter_mut().zip(row) {
-                *wi = shrink * *wi + neg_lr * (e * xi);
+                None => kernels::sgd_row_update(w, row, e, shrink, neg_lr),
             }
-            bias[0] = shrink * bias[0] + neg_lr * e;
         }
     }
 
@@ -238,40 +246,18 @@ impl Glm {
     /// step at 2²⁸ bytes). For `n ≤ SHUFFLE_BLOCK_ROWS` there is exactly one
     /// block and the order — including RNG consumption — is bit-identical
     /// to a full Fisher–Yates pass.
+    ///
+    /// Each block is walked one sample ahead: its first sample is scored by
+    /// [`Glm::scores_into`], every later one by the previous step's fused
+    /// row pass ([`kernels::SgdRow`]), and its last sample is stepped with
+    /// no lookahead. The kernel is resolved once per fit
+    /// ([`kernels::with_sgd_row`]). The weights are those of stepping
+    /// through the samples one at a time, bit for bit (NaN signs aside).
     pub fn fit(&mut self, x: &Matrix, y: &[u32], n_classes: usize, rng: &mut dyn RngCore) {
         assert_eq!(x.nrows(), y.len(), "rows and labels must align");
         assert!(x.nrows() > 0, "cannot fit on empty data");
         self.reset(x.ncols(), n_classes);
-        let n = x.nrows();
-        let n_blocks = n.div_ceil(SHUFFLE_BLOCK_ROWS);
-        let mut blocks: Vec<usize> = (0..n_blocks).collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut scores = scratch::take(self.n_classes);
-        let mut t = 0usize;
-        for _ in 0..self.params.epochs {
-            // Fisher–Yates over block order, then within each block. Swaps
-            // never cross a block boundary, so `order[start..end]` stays a
-            // permutation of that block's rows across epochs.
-            for i in (1..n_blocks).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                blocks.swap(i, j);
-            }
-            for &b in &blocks {
-                let start = b * SHUFFLE_BLOCK_ROWS;
-                let end = (start + SHUFFLE_BLOCK_ROWS).min(n);
-                let block = &mut order[start..end];
-                for i in (1..block.len()).rev() {
-                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                    block.swap(i, j);
-                }
-                for &i in block.iter() {
-                    t += 1;
-                    let lr = self.params.learning_rate / (1.0 + 0.01 * t as f64);
-                    self.sgd_step_scratch(x.row(i), y[i], lr, &mut scores);
-                }
-            }
-        }
-        scratch::put(scores);
+        kernels::with_sgd_row(Epochs { glm: self, x, y, rng });
     }
 
     /// Predict a single row (argmax score).
@@ -317,9 +303,62 @@ impl Glm {
     }
 }
 
+/// [`Glm::fit`]'s epochs, generic over the fused row kernel that
+/// [`kernels::with_sgd_row`] resolves once per fit.
+struct Epochs<'a> {
+    glm: &'a mut Glm,
+    x: &'a Matrix,
+    y: &'a [u32],
+    rng: &'a mut dyn RngCore,
+}
+
+impl kernels::SgdRowLoop for Epochs<'_> {
+    type Output = ();
+
+    // Always inlined, so with AVX2 the whole loop is compiled in the
+    // kernel's AVX2 frame and the kernel inlines into it.
+    #[inline(always)]
+    fn run<K: kernels::SgdRow>(self, kernel: K) {
+        let Epochs { glm, x, y, rng } = self;
+        let n = x.nrows();
+        let n_blocks = n.div_ceil(SHUFFLE_BLOCK_ROWS);
+        let mut blocks: Vec<usize> = (0..n_blocks).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut scores = scratch::take(glm.n_classes);
+        let mut t = 0usize;
+        for _ in 0..glm.params.epochs {
+            // Fisher–Yates over block order, then within each block. Swaps
+            // never cross a block boundary, so `order[start..end]` stays a
+            // permutation of that block's rows across epochs.
+            for i in (1..n_blocks).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                blocks.swap(i, j);
+            }
+            for &b in &blocks {
+                let start = b * SHUFFLE_BLOCK_ROWS;
+                let end = (start + SHUFFLE_BLOCK_ROWS).min(n);
+                let block = &mut order[start..end];
+                for i in (1..block.len()).rev() {
+                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                    block.swap(i, j);
+                }
+                glm.scores_into(x.row(block[0]), &mut scores);
+                for (pos, &i) in block.iter().enumerate() {
+                    t += 1;
+                    let lr = glm.params.learning_rate / (1.0 + 0.01 * t as f64);
+                    let ahead = block.get(pos + 1).map(|&j| (kernel, x.row(j)));
+                    glm.step_scored(x.row(i), y[i], lr, &mut scores, ahead);
+                }
+            }
+        }
+        scratch::put(scores);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden;
     use crate::kernels::{KernelTier, TierGuard};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -473,29 +512,47 @@ mod tests {
         kernels::scale_axpy(shrink, &mut glm.weights, -lr, &grad);
     }
 
-    /// [`Glm::fit`] driven by [`reference_step`], for fits of one shuffle
-    /// block (a plain Fisher–Yates pass per epoch).
+    /// [`Glm::fit`] as it was before the lookahead, driven by
+    /// [`reference_step`]: each epoch shuffles the block order, then each
+    /// block's samples, and steps through them one at a time.
     fn reference_fit(glm: &mut Glm, x: &Matrix, y: &[u32], n_classes: usize, seed: u64) {
-        assert!(x.nrows() <= SHUFFLE_BLOCK_ROWS);
         let mut rng = StdRng::seed_from_u64(seed);
         glm.reset(x.ncols(), n_classes);
-        let mut order: Vec<usize> = (0..x.nrows()).collect();
+        let n = x.nrows();
+        let mut blocks: Vec<usize> = (0..n.div_ceil(SHUFFLE_BLOCK_ROWS)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
         let mut t = 0usize;
         for _ in 0..glm.params.epochs {
-            for i in (1..order.len()).rev() {
+            for i in (1..blocks.len()).rev() {
                 let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
+                blocks.swap(i, j);
             }
-            for &i in &order {
-                t += 1;
-                let lr = glm.params.learning_rate / (1.0 + 0.01 * t as f64);
-                reference_step(glm, x.row(i), y[i], lr);
+            for &b in &blocks {
+                let start = b * SHUFFLE_BLOCK_ROWS;
+                let block = &mut order[start..(start + SHUFFLE_BLOCK_ROWS).min(n)];
+                for i in (1..block.len()).rev() {
+                    let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                    block.swap(i, j);
+                }
+                for &i in block.iter() {
+                    t += 1;
+                    let lr = glm.params.learning_rate / (1.0 + 0.01 * t as f64);
+                    reference_step(glm, x.row(i), y[i], lr);
+                }
             }
         }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`bits`] with every NaN mapped to one pattern: Rust leaves the sign
+    /// and payload of a NaN result unspecified, so a vector encoding and
+    /// the compiled reference may disagree on them. A NaN must still sit
+    /// exactly where the reference has one.
+    fn canon_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|&x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }).collect()
     }
 
     /// Mostly ordinary values, with ±0.0, ±1e300, ±inf and NaN mixed in.
@@ -551,7 +608,77 @@ mod tests {
                 got.fit(&x, &y, k, &mut StdRng::seed_from_u64(seed));
                 let mut want = Glm::new(loss, params);
                 reference_fit(&mut want, &x, &y, k, seed);
-                assert_eq!(bits(&got.weights), bits(&want.weights), "fit, {at}");
+                assert_eq!(canon_bits(&got.weights), canon_bits(&want.weights), "fit, {at}");
+            }
+
+            // Fits of two and three shuffle blocks, where each block
+            // restarts the sample order (ordinary values, so the weights
+            // stay finite and every bit is compared).
+            for case in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(1 << 32 | case);
+                let loss = LOSSES[case as usize % LOSSES.len()];
+                let k = rng.gen_range(1..=4usize);
+                let dim = rng.gen_range(0..=9usize);
+                let n = rng.gen_range(SHUFFLE_BLOCK_ROWS + 1..=2 * SHUFFLE_BLOCK_ROWS + 40);
+                let rows: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()).collect();
+                let x = Matrix::from_vecs(&rows);
+                let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+                let params = SgdParams {
+                    learning_rate: rng.gen_range(0.001..0.2),
+                    l2: 1e-4,
+                    epochs: rng.gen_range(1..=2usize),
+                };
+                let seed = rng.gen::<u64>();
+                let mut got = Glm::new(loss, params);
+                got.fit(&x, &y, k, &mut StdRng::seed_from_u64(seed));
+                let mut want = Glm::new(loss, params);
+                reference_fit(&mut want, &x, &y, k, seed);
+                assert_eq!(
+                    canon_bits(&got.weights),
+                    canon_bits(&want.weights),
+                    "{tier} multi-block case {case}: {loss:?} k={k} dim={dim} n={n} {params:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn default_fit_matches_golden_digest() {
+        // Digests of the weights recorded with the per-sample fit that
+        // preceded the lookahead: SVM, LOR and LIR with their default
+        // settings (`crate::linear`) on a 2-class and a 3-class dataset,
+        // plus one epoch of LIR over three shuffle blocks, in both tiers.
+        const MULTI_BLOCK: usize = 2 * SHUFFLE_BLOCK_ROWS + 37;
+        const GOLDEN: [(KernelTier, Loss, usize, usize, u64); 14] = [
+            (KernelTier::Scalar, Loss::Hinge, 2, 160, 0xd1da_d6f7_82b9_2481),
+            (KernelTier::Scalar, Loss::Hinge, 3, 150, 0x3cad_313d_e8f2_2447),
+            (KernelTier::Scalar, Loss::Logistic, 2, 160, 0xb93c_b0d9_6584_531f),
+            (KernelTier::Scalar, Loss::Logistic, 3, 150, 0x6c03_132e_baae_5257),
+            (KernelTier::Scalar, Loss::Squared, 2, 160, 0x575c_b837_6fe7_e0e7),
+            (KernelTier::Scalar, Loss::Squared, 3, 150, 0xc8c6_2711_2e0c_98b4),
+            (KernelTier::Scalar, Loss::Squared, 3, MULTI_BLOCK, 0x605d_d422_2193_9125),
+            (KernelTier::Simd, Loss::Hinge, 2, 160, 0xd1da_d6f7_82b9_2481),
+            (KernelTier::Simd, Loss::Hinge, 3, 150, 0x3cad_313d_e8f2_2447),
+            (KernelTier::Simd, Loss::Logistic, 2, 160, 0x45f5_8703_6c72_7766),
+            (KernelTier::Simd, Loss::Logistic, 3, 150, 0x052a_3378_77c5_a59d),
+            (KernelTier::Simd, Loss::Squared, 2, 160, 0x3680_f671_887b_b4fe),
+            (KernelTier::Simd, Loss::Squared, 3, 150, 0xf41f_c088_1561_3002),
+            (KernelTier::Simd, Loss::Squared, 3, MULTI_BLOCK, 0x2e14_2ed5_2e8e_ccfa),
+        ];
+        for tier in [KernelTier::Scalar, KernelTier::Simd] {
+            let _g = TierGuard::select(tier);
+            for &(_, loss, k, n, want) in GOLDEN.iter().filter(|g| g.0 == tier) {
+                let (x, y) = golden::dataset(n, k);
+                let params = SgdParams {
+                    learning_rate: if loss == Loss::Squared { 0.05 } else { 0.1 },
+                    l2: 1e-4,
+                    epochs: if n > SHUFFLE_BLOCK_ROWS { 1 } else { 40 },
+                };
+                let mut glm = Glm::new(loss, params);
+                glm.fit(&x, &y, k, &mut StdRng::seed_from_u64(0));
+                let got = golden::fnv1a(glm.weights.iter().flat_map(|w| w.to_bits().to_le_bytes()));
+                assert_eq!(got, want, "{tier} {loss:?} k={k} n={n}: {got:#018x} != {want:#018x}");
             }
         }
     }

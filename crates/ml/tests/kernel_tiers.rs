@@ -10,7 +10,10 @@
 //! relies on to make `predict_row` match batched `predict` bit for bit).
 //! `matvec_t_bias` is checked against its tier's column `dot` plus bias
 //! in every encoding, the property the MLP's transposed layer-1 forward
-//! relies on to keep every weight bit.
+//! relies on to keep every weight bit. The fused SGD row kernel is checked
+//! against its tier's update-then-`dot` reference in both AVX2
+//! instantiations and through `with_sgd_row`, the property `Glm::fit`'s
+//! lookahead relies on.
 //!
 //! The tier selection is process-global, so every test that flips it
 //! holds `TIER_LOCK` and restores the previous tier before releasing.
@@ -366,6 +369,93 @@ fn matvec_t_bias_matches_column_dots_in_every_encoding() {
                     column_dots(kernels::dot, &at, d, h, &x, &bias),
                     "{t} dispatcher d={d} h={h}"
                 );
+            }
+        }
+    }
+}
+
+/// The fused SGD row kernel's outputs as expected bits: the updated row,
+/// then the returned score.
+fn row_bits(w: &[f64], score: f64) -> Vec<u64> {
+    w.iter().chain([&score]).map(|&v| canon_bits(v)).collect()
+}
+
+/// A fused SGD row kernel: `(w, x, e, shrink, neg_lr, next) -> score`.
+type RowKernel = fn(&mut [f64], &[f64], Option<f64>, f64, f64, &[f64]) -> f64;
+
+/// A fused SGD row step, run through [`kernels::with_sgd_row`]'s dispatch.
+struct RowStep<'a> {
+    w: &'a mut [f64],
+    x: &'a [f64],
+    e: Option<f64>,
+    shrink: f64,
+    neg_lr: f64,
+    next: &'a [f64],
+}
+
+impl kernels::SgdRowLoop for RowStep<'_> {
+    type Output = f64;
+    fn run<K: kernels::SgdRow>(self, kernel: K) -> f64 {
+        kernel.update_score(self.w, self.x, self.e, self.shrink, self.neg_lr, self.next)
+    }
+}
+
+#[test]
+fn fused_sgd_row_matches_its_tier_reference_in_every_encoding() {
+    // Every d in 0..=70 (straddling the 4- and 8-lane boundaries), with a
+    // loss coefficient and without one. Half the shapes of each kind carry
+    // NaN, −NaN, ±inf and ±0.0 in the row, both samples and the coefficient.
+    for d in 0..=70usize {
+        for with_e in [true, false] {
+            let seed = (2 * d + with_e as usize) as u64;
+            let special = (d + with_e as usize) % 2 == 1;
+            let gen: fn(usize, u64) -> Vec<f64> = if special { vec_special } else { vec_f64 };
+            let w0 = gen(d + 1, seed);
+            let x = gen(d, seed ^ 0x77);
+            let next = gen(d, seed ^ 0x99);
+            let e = with_e.then(|| gen(1, seed ^ 0xEE)[0] / 8.0);
+            let rates = vec_f64(2, seed ^ 0x11);
+            let (shrink, neg_lr) = (1.0 - rates[0].abs() / 800.0, -rates[1].abs() / 16.0);
+            let at = format!("d={d} e={e:?}");
+            let reference = |r: RowKernel| {
+                let mut w = w0.clone();
+                let score = r(&mut w, &x, e, shrink, neg_lr, &next);
+                row_bits(&w, score)
+            };
+            let want4 = reference(scalar::sgd_row_update_dot);
+            let want8 = reference(lanes8::sgd_row_update_dot);
+            // The references are the update followed by their tier's dot.
+            let mut w = w0.clone();
+            kernels::sgd_row_update(&mut w, &x, e, shrink, neg_lr);
+            let (wx, b) = w.split_at(d);
+            assert_eq!(want4, row_bits(&w, scalar::dot(wx, &next) + b[0]), "scalar {at}");
+            assert_eq!(want8, row_bits(&w, lanes8::dot(wx, &next) + b[0]), "lanes8 {at}");
+            #[cfg(target_arch = "x86_64")]
+            if x86::has_avx2() {
+                // SAFETY: AVX2 support was verified at runtime just above, and
+                // `reference` passes a `d + 1` row with two `d`-entry samples.
+                let avx4 = |w: &mut [f64], x: &[f64], e, s, l, n: &[f64]| unsafe {
+                    x86::sgd_row_update_dot_avx2::<4>(w, x, e, s, l, n)
+                };
+                // SAFETY: as above.
+                let avx8 = |w: &mut [f64], x: &[f64], e, s, l, n: &[f64]| unsafe {
+                    x86::sgd_row_update_dot_avx2::<8>(w, x, e, s, l, n)
+                };
+                assert_eq!(reference(avx4), want4, "avx2 4-lane {at}");
+                assert_eq!(reference(avx8), want8, "avx2 8-lane {at}");
+            }
+            for (t, want) in [(KernelTier::Scalar, &want4), (KernelTier::Simd, &want8)] {
+                let _g = TierGuard::select(t);
+                let mut w = w0.clone();
+                let score = kernels::with_sgd_row(RowStep {
+                    w: &mut w,
+                    x: &x,
+                    e,
+                    shrink,
+                    neg_lr,
+                    next: &next,
+                });
+                assert_eq!(&row_bits(&w, score), want, "{t} dispatcher {at}");
             }
         }
     }
