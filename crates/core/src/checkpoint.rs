@@ -1,17 +1,17 @@
 //! Session checkpoint/resume.
 //!
 //! While a session runs with a [`CheckpointSpec`], it appends one JSONL
-//! record per outer-loop iteration (flushed per line, so a killed process
-//! loses at most the line it was writing). A resumed session replays from
-//! iteration 0 with the evaluation cache preloaded from the checkpoint —
-//! replayed iterations answer every model evaluation from cache, and the
-//! warm-cache determinism property makes the replay bit-identical to the
-//! interrupted run. Each replayed iteration is verified against its stored
-//! record (trace fingerprint, budget, rng draw count); any divergence is a
-//! [`CometError::Checkpoint`], never a silently different result.
+//! verification record per outer-loop iteration (flushed per line, so a
+//! killed process loses at most the line it was writing). A resumed
+//! session replays from iteration 0 by recomputing every iteration; the
+//! determinism contract (threads, segment sizes, spill) makes the replay
+//! bit-identical to the interrupted run. Each replayed iteration is
+//! verified against its stored record (trace fingerprint, budget, rng draw
+//! count, record count); any divergence is a [`CometError::Checkpoint`],
+//! never a silently different result.
 //!
 //! The first line is the header,
-//! `{"kind":"checkpoint_header","version":3,"identity":{…}}`: the run's
+//! `{"kind":"checkpoint_header","version":4,"identity":{…}}`: the run's
 //! whole [`SessionIdentity`]. A resume compares it field by field with the
 //! resuming session's and names every mismatch in one error.
 //!
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The header format this build writes, and the only one it reads.
-const HEADER_VERSION: u64 = 3;
+const HEADER_VERSION: u64 = 4;
 
 /// Where a session persists its progress, and whether to resume from an
 /// existing file first.
@@ -84,8 +84,9 @@ fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 /// hex), the candidate error set, every [`CometConfig`] field, and the
 /// environment's evaluation settings — algorithm, tuned hyperparameters,
 /// metric, evaluation seed and step sizes — each by its derived `Debug`.
-/// The environment's entries matter because the preloaded evaluation
-/// cache is keyed by frame content only: it cannot tell two models apart.
+/// The environment's entries make a resume under another model fail up
+/// front, naming the setting; without them it would fail only at the first
+/// trace-fingerprint check, after recomputing iteration 0.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionIdentity(BTreeMap<String, String>);
 
@@ -277,24 +278,12 @@ pub(crate) struct IterationCheckpoint {
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointData {
     pub identity: SessionIdentity,
-    /// Union of all persisted evaluation-cache entries, in file order.
-    pub cache: Vec<(u64, u64, f64)>,
     pub iterations: Vec<IterationCheckpoint>,
 }
 
-fn cache_array(entries: &[(u64, u64, f64)]) -> String {
-    let items: Vec<String> = entries
-        .iter()
-        .map(|&(a, b, score)| format!("[\"{}\",\"{}\",{score}]", hex_u64(a), hex_u64(b)))
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Appends checkpoint records, one flushed JSONL line each. Tracks which
-/// cache entries are already persisted so every entry is written once.
+/// Appends checkpoint records, one flushed JSONL line each.
 pub(crate) struct CheckpointWriter {
     out: BufWriter<File>,
-    seen: BTreeSet<(u64, u64)>,
     faults: Option<Arc<FaultPlan>>,
     /// The interrupted run's iteration records, which a resumed replay
     /// must reproduce (empty unless resuming).
@@ -302,32 +291,27 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Open a session's checkpoint. On resume, load the interrupted run,
-    /// refuse it unless its identity matches `identity` field by field,
-    /// and preload its evaluation cache into `env` — the preloaded cache is
-    /// what makes the replay both cheap and bit-identical (the warm-cache
-    /// determinism property). Either way the file is then rewritten from
-    /// scratch. A planned `CheckpointWriteError` in `faults` fires from
-    /// inside [`Self::write_iteration`], so an injected failure travels the
-    /// production I/O error path.
+    /// Open a session's checkpoint. On resume, load the interrupted run
+    /// and refuse it unless its identity matches `identity` field by field;
+    /// its iteration records are what [`Self::commit`] verifies the
+    /// recomputed replay against. Either way the file is then rewritten
+    /// from scratch. A planned `CheckpointWriteError` in `faults` fires
+    /// from inside [`Self::write_iteration`], so an injected failure
+    /// travels the production I/O error path.
     pub fn open(
         spec: &CheckpointSpec,
         identity: &SessionIdentity,
-        env: &CleaningEnvironment,
         faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self, CometError> {
-        let recorded = if spec.resume { Some(load(&spec.path)?) } else { None };
-        if let Some(data) = &recorded {
+        let mut replay = Vec::new();
+        if spec.resume {
+            let data = load(&spec.path)?;
             identity.check_resume(&data.identity)?;
-            env.preload_cache(&data.cache);
+            replay = data.iterations;
         }
         let mut writer = CheckpointWriter::create(&spec.path, identity)?;
         writer.faults = faults;
-        if let Some(data) = recorded {
-            // The rewritten file stays self-contained.
-            writer.write_cache(&data.cache)?;
-            writer.replay = data.iterations;
-        }
+        writer.replay = replay;
         Ok(writer)
     }
 
@@ -336,12 +320,8 @@ impl CheckpointWriter {
         let file = File::create(path).map_err(|e| {
             CometError::Checkpoint(format!("cannot create {}: {e}", path.display()))
         })?;
-        let mut writer = CheckpointWriter {
-            out: BufWriter::new(file),
-            seen: BTreeSet::new(),
-            faults: None,
-            replay: Vec::new(),
-        };
+        let mut writer =
+            CheckpointWriter { out: BufWriter::new(file), faults: None, replay: Vec::new() };
         let mut obj = JsonObject::new();
         obj.field_str("kind", "checkpoint_header")
             .field_u64("version", HEADER_VERSION)
@@ -358,39 +338,8 @@ impl CheckpointWriter {
             .map_err(|e| CometError::Checkpoint(format!("write failed: {e}")))
     }
 
-    /// Entries not yet persisted. `seen` is only updated by [`Self::mark_seen`]
-    /// *after* a successful write, so a failed write (real or injected) can
-    /// be retried without dropping entries from the file.
-    fn fresh(&self, entries: &[(u64, u64, f64)]) -> Vec<(u64, u64, f64)> {
-        entries.iter().copied().filter(|&(a, b, _)| !self.seen.contains(&(a, b))).collect()
-    }
-
-    fn mark_seen(&mut self, fresh: &[(u64, u64, f64)]) {
-        for &(a, b, _) in fresh {
-            self.seen.insert((a, b));
-        }
-    }
-
-    /// Persist cache entries outside any iteration (resume writes the
-    /// preloaded entries up front so the rewritten file stays
-    /// self-contained).
-    pub fn write_cache(&mut self, entries: &[(u64, u64, f64)]) -> Result<(), CometError> {
-        let fresh = self.fresh(entries);
-        let mut obj = JsonObject::new();
-        obj.field_str("kind", "checkpoint_cache").field_raw("entries", &cache_array(&fresh));
-        self.write_line(&obj.finish())?;
-        self.mark_seen(&fresh);
-        Ok(())
-    }
-
-    /// Persist one completed iteration plus the cache entries it added.
-    pub fn write_iteration(
-        &mut self,
-        record: &IterationCheckpoint,
-        cache_entries: &[(u64, u64, f64)],
-    ) -> Result<(), CometError> {
-        // Injection happens before `seen` is updated, so a retried write
-        // after a transient fault still persists every fresh cache entry.
+    /// Persist one completed iteration.
+    pub fn write_iteration(&mut self, record: &IterationCheckpoint) -> Result<(), CometError> {
         if let Some(plan) = &self.faults {
             if plan.arm_checkpoint(record.iteration) {
                 return Err(CometError::Checkpoint(format!(
@@ -399,31 +348,23 @@ impl CheckpointWriter {
                 )));
             }
         }
-        let fresh = self.fresh(cache_entries);
         let mut obj = JsonObject::new();
         obj.field_str("kind", "checkpoint_iteration")
             .field_u64("iteration", record.iteration as u64)
             .field_f64("budget_spent", record.budget_spent)
             .field_u64("rng_draws", record.rng_draws)
             .field_u64("records", record.records as u64)
-            .field_str("trace_fp", &hex_u64(record.trace_fp))
-            .field_raw("cache", &cache_array(&fresh));
-        self.write_line(&obj.finish())?;
-        self.mark_seen(&fresh);
-        Ok(())
+            .field_str("trace_fp", &hex_u64(record.trace_fp));
+        self.write_line(&obj.finish())
     }
 
     /// Verify a completed iteration against the interrupted run's record
-    /// (when resuming), then persist it with the cache entries it added.
+    /// (when resuming), then persist it.
     /// Checkpoint I/O faults are often transient (full disk freed, volume
     /// reattached), so a failed write is retried in place up to
     /// `MAX_RETRIES` times. Retries consume no randomness, so a recovered
     /// write leaves the trace bit-identical to an undisturbed run.
-    pub fn commit(
-        &mut self,
-        record: &IterationCheckpoint,
-        cache_entries: &[(u64, u64, f64)],
-    ) -> Result<(), CometError> {
+    pub fn commit(&mut self, record: &IterationCheckpoint) -> Result<(), CometError> {
         if let Some(stored) = self.replay.get(record.iteration) {
             if stored != record {
                 return Err(CometError::Checkpoint(format!(
@@ -434,7 +375,7 @@ impl CheckpointWriter {
         }
         let mut attempt = 0usize;
         loop {
-            let Err(e) = self.write_iteration(record, cache_entries) else { return Ok(()) };
+            let Err(e) = self.write_iteration(record) else { return Ok(()) };
             comet_obs::counter_add("fault.checkpoint_write_errors", 1);
             if attempt >= MAX_RETRIES {
                 return Err(e);
@@ -460,28 +401,6 @@ fn get_hex(value: &JsonValue, key: &str) -> Result<u64, CometError> {
     parse_hex(s)
 }
 
-fn parse_cache(value: &JsonValue) -> Result<Vec<(u64, u64, f64)>, CometError> {
-    let JsonValue::Arr(items) = value else {
-        return Err(CometError::Checkpoint("cache field is not an array".into()));
-    };
-    let mut entries = Vec::with_capacity(items.len());
-    for item in items {
-        let JsonValue::Arr(triple) = item else {
-            return Err(CometError::Checkpoint("cache entry is not an array".into()));
-        };
-        let [a, b, score] = triple.as_slice() else {
-            return Err(CometError::Checkpoint("cache entry is not a triple".into()));
-        };
-        let bad = || CometError::Checkpoint("malformed cache entry".into());
-        entries.push((
-            parse_hex(a.as_str().ok_or_else(bad)?)?,
-            parse_hex(b.as_str().ok_or_else(bad)?)?,
-            score.as_f64().ok_or_else(bad)?,
-        ));
-    }
-    Ok(entries)
-}
-
 /// Load a checkpoint file. An unparseable line — the tail a killed writer
 /// left behind — ends the load at everything before it; a missing or
 /// malformed header, or one of another version, is an error.
@@ -489,7 +408,6 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CometError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
     let mut identity = None;
-    let mut cache = Vec::new();
     let mut iterations = Vec::new();
     for line in text.lines() {
         if line.trim().is_empty() {
@@ -510,12 +428,6 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
                 }
                 identity = Some(SessionIdentity::from_json(value.get("identity"))?);
             }
-            Some("checkpoint_cache") => {
-                let entries = value
-                    .get("entries")
-                    .ok_or_else(|| CometError::Checkpoint("cache record without entries".into()))?;
-                cache.extend(parse_cache(entries)?);
-            }
             Some("checkpoint_iteration") => {
                 iterations.push(IterationCheckpoint {
                     iteration: get_f64(&value, "iteration")? as usize,
@@ -524,9 +436,6 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
                     records: get_f64(&value, "records")? as usize,
                     trace_fp: get_hex(&value, "trace_fp")?,
                 });
-                if let Some(entries) = value.get("cache") {
-                    cache.extend(parse_cache(entries)?);
-                }
             }
             other => {
                 return Err(CometError::Checkpoint(format!("unknown record kind {other:?}")));
@@ -536,7 +445,7 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, CometError> {
     let identity = identity.ok_or_else(|| {
         CometError::Checkpoint(format!("{} has no checkpoint header", path.display()))
     })?;
-    Ok(CheckpointData { identity, cache, iterations })
+    Ok(CheckpointData { identity, iterations })
 }
 
 #[cfg(test)]
@@ -567,21 +476,16 @@ mod tests {
     fn writer_loader_roundtrip() {
         let path = temp_path("roundtrip.jsonl");
         let mut w = CheckpointWriter::create(&path, &identity()).unwrap();
-        w.write_cache(&[(1, 2, 0.5)]).unwrap();
-        w.write_iteration(
-            &IterationCheckpoint {
-                iteration: 0,
-                budget_spent: 1.5,
-                rng_draws: 3,
-                records: 1,
-                trace_fp: 0xABCD,
-            },
-            &[(1, 2, 0.5), (u64::MAX, 3, 0.7125)], // (1,2) already persisted
-        )
+        w.write_iteration(&IterationCheckpoint {
+            iteration: 0,
+            budget_spent: 1.5,
+            rng_draws: 3,
+            records: 1,
+            trace_fp: 0xABCD,
+        })
         .unwrap();
         let data = load(&path).unwrap();
         assert_eq!(data.identity, identity());
-        assert_eq!(data.cache, vec![(1, 2, 0.5), (u64::MAX, 3, 0.7125)]);
         assert_eq!(data.iterations.len(), 1);
         assert_eq!(
             data.iterations[0],
@@ -596,7 +500,7 @@ mod tests {
         // The header is one line holding the whole identity.
         let text = std::fs::read_to_string(&path).unwrap();
         let header = json::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(header.get("version").and_then(JsonValue::as_f64), Some(3.0));
+        assert_eq!(header.get("version").and_then(JsonValue::as_f64), Some(4.0));
         let recorded = header.get("identity").and_then(JsonValue::as_obj).unwrap();
         assert_eq!(recorded.len(), 22);
         let entry = |key: &str| recorded.iter().find(|(k, _)| k == key).unwrap().1.as_str();
@@ -641,16 +545,13 @@ mod tests {
     fn truncated_tail_is_tolerated_missing_header_is_not() {
         let path = temp_path("truncated.jsonl");
         let mut w = CheckpointWriter::create(&path, &identity()).unwrap();
-        w.write_iteration(
-            &IterationCheckpoint {
-                iteration: 0,
-                budget_spent: 1.0,
-                rng_draws: 1,
-                records: 1,
-                trace_fp: 9,
-            },
-            &[],
-        )
+        w.write_iteration(&IterationCheckpoint {
+            iteration: 0,
+            budget_spent: 1.0,
+            rng_draws: 1,
+            records: 1,
+            trace_fp: 9,
+        })
         .unwrap();
         drop(w);
         // Simulate a kill mid-write: append half a record.
@@ -661,7 +562,8 @@ mod tests {
         assert_eq!(data.iterations.len(), 1);
 
         let headerless = temp_path("headerless.jsonl");
-        std::fs::write(&headerless, "{\"kind\":\"checkpoint_cache\",\"entries\":[]}\n").unwrap();
+        let iteration = text.lines().nth(1).unwrap();
+        std::fs::write(&headerless, format!("{iteration}\n")).unwrap();
         assert!(matches!(load(&headerless), Err(CometError::Checkpoint(_))));
         std::fs::remove_file(path).ok();
         std::fs::remove_file(headerless).ok();
@@ -740,8 +642,9 @@ mod tests {
     #[test]
     fn older_header_versions_are_refused() {
         // Version-1 headers carried per-setting fields instead of the
-        // identity, and version-2 identities lacked the environment's
-        // model; both are refused by version, never read with defaults.
+        // identity, version-2 identities lacked the environment's model,
+        // and version-3 files carried evaluation-cache records; each is
+        // refused by version, never read with defaults.
         let path = temp_path("old_versions.jsonl");
         std::fs::write(
             &path,
@@ -754,18 +657,23 @@ mod tests {
         assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("version 1"), "{err}");
 
-        let v2 = identity().to_json();
-        std::fs::write(
-            &path,
-            format!("{{\"kind\":\"checkpoint_header\",\"version\":2,\"identity\":{v2}}}\n"),
-        )
-        .unwrap();
-        let err = load(&path).unwrap_err();
-        assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
-        assert!(err.to_string().contains("version 2"), "{err}");
+        let identity = identity().to_json();
+        for version in [2, 3] {
+            std::fs::write(
+                &path,
+                format!(
+                    "{{\"kind\":\"checkpoint_header\",\"version\":{version},\
+                     \"identity\":{identity}}}\n"
+                ),
+            )
+            .unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(matches!(err, CometError::Checkpoint(_)), "{err}");
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
 
         // A current header without an identity is corruption.
-        std::fs::write(&path, "{\"kind\":\"checkpoint_header\",\"version\":3}\n").unwrap();
+        std::fs::write(&path, "{\"kind\":\"checkpoint_header\",\"version\":4}\n").unwrap();
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("identity"), "{err}");
         std::fs::remove_file(path).ok();

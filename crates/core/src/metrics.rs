@@ -81,10 +81,6 @@ pub struct IterationMetrics {
     pub candidates: usize,
     /// Step records appended to the trace this iteration.
     pub records: usize,
-    /// Evaluation-cache hits during this iteration.
-    pub cache_hits: u64,
-    /// Evaluation-cache misses during this iteration.
-    pub cache_misses: u64,
     /// Cumulative budget spent after this iteration.
     pub budget_spent: f64,
     /// Current (accepted) F1 after this iteration.
@@ -104,8 +100,6 @@ impl IterationMetrics {
         obj.field_u64("iteration", self.iteration as u64);
         obj.field_u64("candidates", self.candidates as u64);
         obj.field_u64("records", self.records as u64);
-        obj.field_u64("cache_hits", self.cache_hits);
-        obj.field_u64("cache_misses", self.cache_misses);
         obj.field_f64("budget_spent", self.budget_spent);
         obj.field_f64("f1", self.f1);
         obj.field_u64("failures", self.failures as u64);
@@ -141,25 +135,15 @@ impl RunMetrics {
         total
     }
 
-    /// Cache hits and misses summed over all iterations.
-    pub fn cache_totals(&self) -> (u64, u64) {
-        let hits = self.iterations.iter().map(|i| i.cache_hits).sum();
-        let misses = self.iterations.iter().map(|i| i.cache_misses).sum();
-        (hits, misses)
-    }
-
     /// Encode the end-of-run summary as one JSONL record
     /// (`"kind": "summary"`), closing a journal of iteration records.
     pub fn summary_json(&self) -> String {
-        let (hits, misses) = self.cache_totals();
         let mut obj = JsonObject::new();
         obj.field_str("kind", "summary");
         obj.field_u64("iterations", self.iterations.len() as u64);
         obj.field_f64("initial_f1", self.initial_f1);
         obj.field_f64("final_f1", self.final_f1);
         obj.field_f64("budget_spent", self.budget_spent);
-        obj.field_u64("cache_hits", hits);
-        obj.field_u64("cache_misses", misses);
         obj.field_raw("phase_totals", &self.phase_totals().to_json());
         obj.field_raw("registry", &self.registry.to_json());
         obj.finish()
@@ -178,8 +162,6 @@ mod tests {
                     iteration: 0,
                     candidates: 3,
                     records: 1,
-                    cache_hits: 2,
-                    cache_misses: 5,
                     budget_spent: 1.0,
                     f1: 0.8,
                     failures: 1,
@@ -196,8 +178,6 @@ mod tests {
                     iteration: 1,
                     candidates: 2,
                     records: 1,
-                    cache_hits: 4,
-                    cache_misses: 1,
                     budget_spent: 2.0,
                     f1: 0.82,
                     failures: 0,
@@ -218,7 +198,6 @@ mod tests {
         assert_eq!(totals.pollute, 1_000);
         assert_eq!(totals.fallback, 7_000);
         assert_eq!(totals.total(), 14_310);
-        assert_eq!(m.cache_totals(), (6, 6));
     }
 
     #[test]
@@ -241,7 +220,6 @@ mod tests {
         let value = json::parse(&text).expect("summary must parse");
         assert_eq!(value.get("kind").and_then(|v| v.as_str()), Some("summary"));
         assert_eq!(value.get("iterations").and_then(|v| v.as_f64()), Some(2.0));
-        assert_eq!(value.get("cache_hits").and_then(|v| v.as_f64()), Some(6.0));
         let totals = value.get("phase_totals").expect("phase_totals object");
         assert_eq!(totals.get("fallback").and_then(|v| v.as_f64()), Some(7e-6));
         assert!(value.get("registry").and_then(|r| r.get("counters")).is_some());

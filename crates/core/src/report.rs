@@ -87,8 +87,8 @@ impl CleaningTrace {
 
 impl RunMetrics {
     /// The "MetricsReport" section: a Figure-12-style per-module runtime
-    /// breakdown plus cache and pool utilization, rendered from a
-    /// metrics-enabled run.
+    /// breakdown plus worker-pool, tuner and spill-tier counters, rendered
+    /// from a metrics-enabled run.
     pub fn report(&self) -> String {
         let totals = self.phase_totals();
         let denom = totals.total().max(1) as f64;
@@ -102,13 +102,6 @@ impl RunMetrics {
                 100.0 * nanos as f64 / denom,
             ));
         }
-        let (hits, misses) = self.cache_totals();
-        let lookups = hits + misses;
-        let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
-        out.push_str(&format!(
-            "eval cache: {hits} hits / {misses} misses ({:.1}% hit rate)\n",
-            100.0 * rate,
-        ));
         if let Some(peak) = self.registry.gauge("par.peak_workers") {
             out.push_str(&format!("peak extra workers: {peak:.0}\n"));
         }
@@ -227,14 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_report_mentions_phases_and_cache() {
+    fn metrics_report_mentions_phases() {
         let metrics = RunMetrics {
             iterations: vec![IterationMetrics {
                 iteration: 0,
                 candidates: 2,
                 records: 1,
-                cache_hits: 3,
-                cache_misses: 1,
                 budget_spent: 1.0,
                 f1: 0.8,
                 failures: 0,
@@ -258,7 +249,6 @@ mod tests {
         for phase in crate::metrics::PHASES {
             assert!(s.contains(phase), "missing {phase} in {s}");
         }
-        assert!(s.contains("3 hits / 1 misses (75.0% hit rate)"));
         assert!(!s.contains("segment spills"), "no spill tier → no spill section: {s}");
     }
 

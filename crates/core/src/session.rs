@@ -15,7 +15,7 @@ use crate::checkpoint::{
 };
 use crate::config::CometConfig;
 use crate::control::{SessionControl, SessionProgress, StopReason};
-use crate::env::{CacheStats, CleaningEnvironment, EnvError};
+use crate::env::{CleaningEnvironment, EnvError};
 use crate::error::CometError;
 use crate::estimator::{Estimate, Estimator};
 use crate::faults::{FaultKind, FaultPlan};
@@ -115,7 +115,6 @@ impl PhaseClock {
 struct IterationStart {
     clock: PhaseClock,
     candidates: usize,
-    cache: CacheStats,
     records: usize,
     failures: usize,
 }
@@ -352,7 +351,7 @@ impl CleaningSession {
         let mut writer = match &self.checkpoint {
             Some(spec) => {
                 let identity = SessionIdentity::new(session_seed, &self.errors, &self.config, env);
-                Some(CheckpointWriter::open(spec, &identity, env, self.faults.clone())?)
+                Some(CheckpointWriter::open(spec, &identity, self.faults.clone())?)
             }
             None => None,
         };
@@ -392,7 +391,6 @@ impl CleaningSession {
             let start = IterationStart {
                 clock: PhaseClock { on: metrics_on, ..PhaseClock::default() },
                 candidates: pairs.len(),
-                cache: env.cache_stats(),
                 records: state.trace.records.len(),
                 failures: state.trace.failures.len(),
             };
@@ -404,7 +402,7 @@ impl CleaningSession {
             state.push_runtime(started.elapsed());
             let progressed = self.clean(env, rng, &mut state, &ranked, &start.clock)?;
             let draws = rng.draws();
-            self.end_iteration(env, &state, start, draws, writer.as_mut(), metrics.as_mut())?;
+            self.end_iteration(&state, start, draws, writer.as_mut(), metrics.as_mut())?;
             if !progressed {
                 break;
             }
@@ -662,7 +660,6 @@ impl CleaningSession {
     /// verify and checkpoint the iteration, and publish progress.
     fn end_iteration(
         &self,
-        env: &CleaningEnvironment,
         state: &SessionState,
         start: IterationStart,
         rng_draws: u64,
@@ -688,13 +685,10 @@ impl CleaningSession {
             for ((_, nanos), name) in phases.named().into_iter().zip(PHASE_HISTOGRAMS) {
                 comet_obs::observe_duration(name, Duration::from_nanos(nanos));
             }
-            let cache = env.cache_stats();
             let it = IterationMetrics {
                 iteration,
                 candidates: start.candidates,
                 records: state.trace.records.len() - start.records,
-                cache_hits: cache.hits - start.cache.hits,
-                cache_misses: cache.misses - start.cache.misses,
                 budget_spent: state.budget.spent(),
                 f1: state.current_f1,
                 failures: state.trace.failures.len() - start.failures,
@@ -713,7 +707,7 @@ impl CleaningSession {
                 records: state.trace.records.len(),
                 trace_fp: trace_fingerprint(&state.trace),
             };
-            writer.commit(&record, &env.export_cache_entries())?;
+            writer.commit(&record)?;
         }
         self.publish(state, iteration + 1);
         Ok(())
@@ -1076,7 +1070,6 @@ mod tests {
         let session = CleaningSession::new(quick_config(10.0), vec![ErrorType::MissingValues]);
         let run_with = |threads: usize| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut rng = StdRng::seed_from_u64(77);
             comet_par::with_threads(threads, || session.run(&mut env, &mut rng).unwrap())
         };
@@ -1103,7 +1096,6 @@ mod tests {
         let session = CleaningSession::new(quick_config(8.0), vec![ErrorType::MissingValues]);
         let run = |env0: &CleaningEnvironment| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut rng = StdRng::seed_from_u64(77);
             session.run(&mut env, &mut rng).unwrap()
         };
@@ -1124,10 +1116,8 @@ mod tests {
         let metrics = instrumented.metrics.expect("instrumented runs collect metrics");
         assert_eq!(metrics.iterations.len(), instrumented.trace.iteration_runtimes.len());
         assert!(metrics.phase_totals().total() > 0, "phases must register time");
-        let (hits, misses) = metrics.cache_totals();
-        assert!(hits + misses > 0, "evaluations must hit the cache counters");
         assert!(metrics.registry.counter("session.iterations") > 0);
-        assert!(metrics.registry.counter("eval_cache.misses") > 0);
+        assert!(metrics.registry.counter("estimator.variant_evals") > 0, "evaluations observed");
         assert_eq!(metrics.initial_f1, instrumented.trace.initial_f1);
         assert_eq!(metrics.final_f1, instrumented.trace.final_f1);
     }
@@ -1141,7 +1131,6 @@ mod tests {
         let session = CleaningSession::new(quick_config(10.0), vec![ErrorType::MissingValues]);
         let run_with = |threads: usize| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut rng = StdRng::seed_from_u64(77);
             comet_par::with_threads(threads, || session.run(&mut env, &mut rng).unwrap())
         };
@@ -1242,7 +1231,6 @@ mod tests {
         let env0 = build_env(31, 240, vec![(0, 0.3), (1, 0.25), (2, 0.2)], Algorithm::Knn);
         let run_with = |threads: usize| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(10.0), vec![ErrorType::MissingValues])
                 .with_faults(standard_fault_plan());
             let mut rng = StdRng::seed_from_u64(77);
@@ -1276,7 +1264,6 @@ mod tests {
         let faulted_path = ckpt_path("io_faulted.jsonl");
         let run = |path: &std::path::Path, faults: Option<FaultPlan>| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut session =
                 CleaningSession::new(quick_config(6.0), vec![ErrorType::MissingValues])
                     .with_checkpoint(CheckpointSpec { path: path.to_path_buf(), resume: false });
@@ -1303,12 +1290,8 @@ mod tests {
         );
         assert_eq!(reg.counter("fault.checkpoint_write_errors"), 1);
         assert_eq!(reg.counter("fault.checkpoint_write_retries"), 1);
-        // The retried file carries the same verification records — no cache
-        // entry was dropped by the failed attempt.
-        let a = crate::checkpoint::load(&clean_path).unwrap();
-        let b = crate::checkpoint::load(&faulted_path).unwrap();
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.cache, b.cache);
+        // The retried write left the same file as the undisturbed run.
+        assert_eq!(std::fs::read(&clean_path).unwrap(), std::fs::read(&faulted_path).unwrap());
         std::fs::remove_file(clean_path).ok();
         std::fs::remove_file(faulted_path).ok();
     }
@@ -1361,7 +1344,6 @@ mod tests {
         let env0 = build_env(21, 300, vec![(0, 0.3), (1, 0.25)], Algorithm::Knn);
         let run = |control: Option<SessionControl>| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut session =
                 CleaningSession::new(quick_config(8.0), vec![ErrorType::MissingValues]);
             if let Some(c) = control {
@@ -1394,7 +1376,6 @@ mod tests {
         // Uninterrupted run, checkpointing as it goes.
         let full = {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(8.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: full_path.clone(), resume: false });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1414,13 +1395,10 @@ mod tests {
         // Resume from the cut file at a different thread count.
         let resumed = {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(8.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: cut_path.clone(), resume: true });
             let mut rng = StdRng::seed_from_u64(5);
-            let outcome = comet_par::with_threads(4, || session.run(&mut env, &mut rng).unwrap());
-            assert!(env.cache_stats().hits > 0, "resume must replay from the preloaded cache");
-            outcome
+            comet_par::with_threads(4, || session.run(&mut env, &mut rng).unwrap())
         };
         assert!(
             full.trace.content_eq(&resumed.trace),
@@ -1429,13 +1407,8 @@ mod tests {
             resumed.trace.records,
         );
 
-        // The rewritten checkpoint equals the uninterrupted one, byte for
-        // byte, minus cache-entry bookkeeping order: compare the loaded
-        // verification records instead of raw bytes.
-        let a = crate::checkpoint::load(&full_path).unwrap();
-        let b = crate::checkpoint::load(&cut_path).unwrap();
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.identity, b.identity);
+        // The rewritten checkpoint equals the uninterrupted one, byte for byte.
+        assert_eq!(std::fs::read(&full_path).unwrap(), std::fs::read(&cut_path).unwrap());
         std::fs::remove_file(full_path).ok();
         std::fs::remove_file(cut_path).ok();
     }
@@ -1446,7 +1419,6 @@ mod tests {
         let path = ckpt_path("mismatch.jsonl");
         {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume: false });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1455,7 +1427,6 @@ mod tests {
 
         // Wrong rng seed → different session seed → refuse to resume.
         let mut env = env0.clone();
-        env.clear_eval_cache();
         let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
             .with_checkpoint(CheckpointSpec { path: path.clone(), resume: true });
         let mut rng = StdRng::seed_from_u64(6);
@@ -1465,7 +1436,6 @@ mod tests {
 
         // Wrong config → refuse to resume.
         let mut env = env0.clone();
-        env.clear_eval_cache();
         let session = CleaningSession::new(quick_config(5.0), vec![ErrorType::MissingValues])
             .with_checkpoint(CheckpointSpec { path: path.clone(), resume: true });
         let mut rng = StdRng::seed_from_u64(5);
@@ -1480,7 +1450,6 @@ mod tests {
         let path = ckpt_path("tier_mismatch.jsonl");
         {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume: false });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1488,7 +1457,6 @@ mod tests {
         }
         let resume = |path: &std::path::Path| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.to_path_buf(), resume: true });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1507,8 +1475,8 @@ mod tests {
         assert!(err.to_string().contains("kernels"), "{err}");
         assert!(err.to_string().contains("Simd") && err.to_string().contains("Scalar"), "{err}");
 
-        // Same for probe precision: f32-probe scores are cached under
-        // salted keys, but the header flag is what guards the replay.
+        // Same for probe precision: f32 probes score differently, and the
+        // header flag refuses the replay before it recomputes anything.
         let tampered = text.replace("\"f32_probes\":\"false\"", "\"f32_probes\":\"true\"");
         assert_ne!(tampered, text, "header must record the probe flag");
         std::fs::write(&path, &tampered).unwrap();
@@ -1524,15 +1492,15 @@ mod tests {
 
     #[test]
     fn resume_under_another_model_is_refused_by_name() {
-        // The preloaded evaluation cache is keyed by frame content only, so
-        // an SVM checkpoint resumed on a LOR environment would answer the
-        // replay with SVM scores and go on with LOR ones. Both environments
-        // come from the same rng, so the session seed alone cannot tell.
+        // Both environments come from the same rng, so the session seed
+        // alone cannot tell an SVM checkpoint from a LOR one. Without the
+        // model's identity entries, the resume would fail only at the first
+        // trace-fingerprint check, after recomputing iteration 0, with an
+        // error that names no setting.
         let levels = vec![(0, 0.3), (1, 0.2)];
         let path = ckpt_path("model_mismatch.jsonl");
         let run = |algorithm: Algorithm, resume: bool| {
             let mut env = build_env(32, 200, levels.clone(), algorithm);
-            env.clear_eval_cache();
             let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume });
             session.run(&mut env, &mut StdRng::seed_from_u64(5)).map(|_| ())
@@ -1604,7 +1572,6 @@ mod tests {
             (session_seed, vec![ErrorType::MissingValues], quick_config(4.0), env0.clone());
         let run = |resume: bool| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(base.2, base.1.clone())
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume });
             session.run(&mut env, &mut StdRng::seed_from_u64(5))
@@ -1629,7 +1596,7 @@ mod tests {
 
         let resume = |i: &Inputs| {
             let spec = CheckpointSpec { path: path.clone(), resume: true };
-            CheckpointWriter::open(&spec, &identity(i), &env0, None).map(|_| ())
+            CheckpointWriter::open(&spec, &identity(i), None).map(|_| ())
         };
         for (key, mutate) in MUTATORS {
             let mut inputs = base.clone();
@@ -1678,7 +1645,6 @@ mod tests {
         let session = CleaningSession::new(detect_config(10.0), vec![ErrorType::MissingValues]);
         let run_with = |threads: usize| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let mut rng = StdRng::seed_from_u64(77);
             comet_par::with_threads(threads, || session.run(&mut env, &mut rng).unwrap())
         };
@@ -1703,7 +1669,6 @@ mod tests {
         let cut_path = ckpt_path("detect_cut.jsonl");
         let full = {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(detect_config(8.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: full_path.clone(), resume: false });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1720,7 +1685,6 @@ mod tests {
 
         let resumed = {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(detect_config(8.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: cut_path.clone(), resume: true });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1742,7 +1706,6 @@ mod tests {
         let path = ckpt_path("detect_mismatch.jsonl");
         {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(detect_config(4.0), vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume: false });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1750,7 +1713,6 @@ mod tests {
         }
         let resume = |config: CometConfig| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let session = CleaningSession::new(config, vec![ErrorType::MissingValues])
                 .with_checkpoint(CheckpointSpec { path: path.clone(), resume: true });
             let mut rng = StdRng::seed_from_u64(5);
@@ -1788,7 +1750,6 @@ mod tests {
         let env0 = build_env(31, 240, vec![(0, 0.3), (1, 0.25), (2, 0.2)], Algorithm::Knn);
         let run_with = |f32_probes: bool| {
             let mut env = env0.clone();
-            env.clear_eval_cache();
             let config = CometConfig { f32_probes, ..quick_config(10.0) };
             let session = CleaningSession::new(config, vec![ErrorType::MissingValues]);
             let mut rng = StdRng::seed_from_u64(77);
@@ -1811,27 +1772,31 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_does_not_change_the_trace() {
-        // Cached evaluations are bit-identical to recomputed ones, so a
-        // session starting with a pre-warmed cache must produce the same
-        // trace as one starting cold.
+    fn warm_feature_cache_does_not_change_the_trace() {
+        // Cached column blocks are bit-identical to recomputed ones, so a
+        // session on a clone whose shared feature cache is warm must
+        // produce the same trace as one starting cold.
         let env0 = build_env(32, 200, vec![(0, 0.3), (1, 0.2)], Algorithm::Knn);
         let session = CleaningSession::new(quick_config(8.0), vec![ErrorType::MissingValues]);
 
+        env0.clear_feature_cache();
+        let start = env0.feature_cache_stats();
         let mut cold_env = env0.clone();
-        cold_env.clear_eval_cache();
         let mut rng = StdRng::seed_from_u64(5);
         let cold = session.run(&mut cold_env, &mut rng).unwrap();
 
-        // Warm env0's cache (evaluate is &self; clones share the entries —
-        // the cold run above already contributed to the same shared cache).
-        env0.evaluate().unwrap();
-        env0.fully_cleaned_f1().unwrap();
+        // The cold run filled the cache every clone of env0 shares.
+        let mid = env0.feature_cache_stats();
         let mut warm_env = env0.clone();
         let mut rng = StdRng::seed_from_u64(5);
         let warm = session.run(&mut warm_env, &mut rng).unwrap();
 
-        assert!(warm_env.cache_stats().hits > 0, "warm run must actually hit the cache");
+        let end = env0.feature_cache_stats();
+        assert!(end.block_hits > mid.block_hits, "warm run must actually hit the cache");
+        assert!(
+            end.block_misses - mid.block_misses < mid.block_misses - start.block_misses,
+            "the warm run must reuse the cold run's blocks",
+        );
         assert!(cold.trace.content_eq(&warm.trace));
     }
 }

@@ -1,7 +1,8 @@
 //! Cheap 64-bit content fingerprints for columns, segments, and frames.
 //!
-//! The evaluation cache in `comet-core` keys cached model scores by the
-//! *content* of the (train, test) frame pair. These fingerprints use the
+//! Derived state is keyed by data *content*: the feature cache's fitted
+//! statistics and blocks, `comet-core`'s detection memo, and the spill
+//! tier's segment files. These fingerprints use the
 //! FxHash mixing function (rotate-xor-multiply) over the raw column
 //! payloads — not cryptographic, but fast (one multiply per word) and
 //! sensitive to any single-cell change: value bits, validity flips,
@@ -13,8 +14,7 @@
 //!   across segments, carrying the validity bit-packing word over segment
 //!   boundaries, so the value is *segment-size-invariant*: a column split
 //!   1Ki-wise, 64Ki-wise, or not at all hashes identically, which keeps
-//!   eval-cache keys and traces bit-identical to the pre-segmentation
-//!   layout.
+//!   cache keys and traces bit-identical to the pre-segmentation layout.
 //! * The **per-segment** content fingerprint ([`segment_content_fp`])
 //!   covers one segment's kind + values + validity but *not* the column
 //!   name, so identical content is shared across columns. It addresses

@@ -15,9 +15,10 @@
 //!   train/test splitting,
 //! * per-column summary statistics,
 //! * cheap 64-bit content fingerprints ([`Column::fingerprint`],
-//!   [`DataFrame::fingerprint`]) keying `comet-core`'s evaluation cache,
-//!   plus memoized per-segment fingerprints keying feature-block caches
-//!   and addressing the spill tier,
+//!   [`DataFrame::fingerprint`]) keying `comet-core`'s detection memo and
+//!   the feature cache's fitted statistics, plus memoized per-segment
+//!   fingerprints keying feature-block caches and addressing the spill
+//!   tier,
 //! * an optional LRU spill-to-disk pool ([`spill_configure`]) that bounds
 //!   resident segment bytes under a memory budget.
 //!

@@ -15,7 +15,7 @@
 //! 2. **Zero dependencies.** Plain `std`, like `comet-par`; the crate sits
 //!    below every other workspace member.
 //! 3. **Stable, greppable names.** Metric names are `&'static str` in
-//!    `module.metric` form (`eval_cache.hits`, `par.workers_spawned`,
+//!    `module.metric` form (`featurize.block_hits`, `par.workers_spawned`,
 //!    `session.phase.pollute`); [`snapshot`] returns them sorted.
 //!
 //! The registry is process-global because the instrumented code spans

@@ -444,7 +444,7 @@ fn unresumable_checkpoints_fail_before_the_datasets_are_read() {
     daemon.join();
     let session_a = root_a.join("sessions").join(&id);
     let checkpoint = std::fs::read_to_string(session_a.join("checkpoint.jsonl")).unwrap();
-    assert!(checkpoint.contains("\"version\":3"), "{checkpoint}");
+    assert!(checkpoint.contains("\"version\":4"), "{checkpoint}");
     let manifest =
         Manifest::parse(&std::fs::read_to_string(session_a.join("manifest.json")).unwrap())
             .unwrap();
@@ -459,13 +459,13 @@ fn unresumable_checkpoints_fail_before_the_datasets_are_read() {
         std::fs::write(store.session_dir(id).join("checkpoint.jsonl"), checkpoint).unwrap();
     };
     interrupted("s00000001", 2.0, checkpoint.clone());
-    interrupted("s00000002", 4.0, checkpoint.replacen("\"version\":3", "\"version\":2", 1));
+    interrupted("s00000002", 4.0, checkpoint.replacen("\"version\":4", "\"version\":3", 1));
 
     let daemon = start_daemon(&root_b, 1, 8, ServeFaultPlan::new(Vec::new()));
     let mut client = Client::connect(daemon.port()).unwrap();
     for (id, expected) in [
         ("s00000001", "`budget` (checkpoint 4.0, session 2.0)"),
-        ("s00000002", "checkpoint header version 2 is not supported"),
+        ("s00000002", "checkpoint header version 3 is not supported"),
     ] {
         let status = wait_status(&mut client, id, |v| str_field(v, "status") == "failed");
         let error = str_field(&status, "error");

@@ -375,12 +375,12 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
         comet::obs::journal::set_sink(Some(Box::new(std::io::BufWriter::new(file))));
     }
 
-    println!("dirty F1: {:.4}", env.evaluate().map_err(|e| e.to_string())?);
     let mut session = CleaningSession::new(config, errors);
     if let Some(spec) = checkpoint {
         session = session.with_checkpoint(spec);
     }
     let outcome = session.run(&mut env, &mut rng).map_err(|e| e.to_string())?;
+    println!("dirty F1: {:.4}", outcome.trace.initial_f1);
 
     if let Some(path) = metrics_out {
         if let Some(metrics) = &outcome.metrics {

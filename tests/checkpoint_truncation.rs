@@ -4,7 +4,10 @@
 //! [`CometError::Checkpoint`], never panic. And a torn checkpoint must
 //! never contaminate its neighbours: sibling sessions resuming from
 //! their own (intact) files in the same directory stay bit-identical
-//! regardless of what the truncated one does.
+//! regardless of what the truncated one does. The loader is fuzzed the
+//! same way with flipped bytes and with lines spliced in from a sibling
+//! seed's checkpoint: a resume reproduces the reference trace and
+//! rewrites the reference checkpoint, or fails typed.
 
 use comet::core::{build_paired_env, CheckpointSpec, CleaningSession, CometConfig, CometError};
 use comet::frame::{Cell, Column, DataFrame};
@@ -101,6 +104,44 @@ fn reference() -> &'static Reference {
     })
 }
 
+/// Check one resumed session of `SEEDS[i]`: it reproduced the reference
+/// trace and rewrote the reference checkpoint at `path` byte for byte, or
+/// (only when `may_refuse`) it failed with a typed checkpoint error.
+fn check_resumed(
+    i: usize,
+    path: &Path,
+    result: Result<String, CometError>,
+    may_refuse: bool,
+) -> Result<(), TestCaseError> {
+    let (expected_trace, expected_bytes) = &reference().runs[i];
+    match result {
+        Ok(trace) => {
+            prop_assert_eq!(&trace, expected_trace, "session {} diverged after resume", SEEDS[i]);
+            let rewritten = std::fs::read(path).unwrap();
+            prop_assert!(
+                &rewritten == expected_bytes,
+                "session {} rewrote a different checkpoint",
+                SEEDS[i]
+            );
+        }
+        // Typed refusal is the other legal outcome for a damaged file
+        // (e.g. the damage landed in the header).
+        Err(CometError::Checkpoint(_)) if may_refuse => {}
+        Err(e) => {
+            return Err(TestCaseError(format!(
+                "session {} failed with an untyped or unexpected error: {e}",
+                SEEDS[i]
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The checkpoint's lines, each with its newline.
+fn lines(bytes: &[u8]) -> Vec<&[u8]> {
+    bytes.split_inclusive(|&b| b == b'\n').collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -144,22 +185,71 @@ proptest! {
         });
 
         for (i, result) in results.into_iter().enumerate() {
-            let expected = &reference.runs[i].0;
-            match result {
-                Ok(trace) => prop_assert_eq!(
-                    &trace, expected,
-                    "session {} diverged after resume", SEEDS[i]
-                ),
-                Err(CometError::Checkpoint(_)) if i == victim => {
-                    // Typed refusal is the other legal outcome for the
-                    // truncated file (e.g. the cut landed in the header).
-                }
-                Err(e) => return Err(TestCaseError(format!(
-                    "session {} failed with a non-checkpoint error: {e}", SEEDS[i]
-                ))),
-            }
+            check_resumed(i, &paths[i], result, i == victim)?;
         }
         std::fs::remove_dir_all(&case_dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// XOR one byte anywhere in a checkpoint with a non-zero mask: a
+    /// changed identity, version, record kind or verification value is
+    /// refused, a line that no longer parses ends the load like a torn
+    /// tail, and whatever the loader accepts must replay exactly.
+    #[test]
+    fn flipped_checkpoints_resume_exactly_or_fail_typed(
+        victim in 0usize..SEEDS.len(),
+        at_frac in 0.0f64..1.0,
+        mask in 1u8..=255,
+    ) {
+        let reference = reference();
+        let mut bytes = reference.runs[victim].1.clone();
+        let at = ((bytes.len() as f64 * at_frac) as usize).min(bytes.len() - 1);
+        bytes[at] ^= mask;
+        let path = reference.dir.join(format!("flip-{victim}-{at}-{mask}.jsonl"));
+        std::fs::write(&path, &bytes).unwrap();
+        let result = run_session(SEEDS[victim], &path, true);
+        check_resumed(victim, &path, result, true)?;
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Put one line of a sibling seed's checkpoint into the victim's, in
+    /// place of one of its lines or before it. A foreign header names
+    /// another session seed, and a foreign iteration record fails
+    /// verification where the replay reaches it, so every splice is
+    /// refused except a foreign header put before the victim's own, which
+    /// the victim's header then overrides.
+    #[test]
+    fn spliced_checkpoints_resume_exactly_or_fail_typed(
+        victim in 0usize..SEEDS.len(),
+        donor_step in 1usize..SEEDS.len(),
+        donor_frac in 0.0f64..1.0,
+        at_frac in 0.0f64..1.0,
+        replace in any::<bool>(),
+    ) {
+        let reference = reference();
+        let donor = (victim + donor_step) % SEEDS.len();
+        let donor_lines = lines(&reference.runs[donor].1);
+        let line = donor_lines[(donor_lines.len() as f64 * donor_frac) as usize];
+        let mut spliced = lines(&reference.runs[victim].1);
+        let at = (spliced.len() as f64 * at_frac) as usize;
+        if replace {
+            spliced[at] = line;
+        } else {
+            spliced.insert(at, line);
+        }
+        let path = reference.dir.join(format!("splice-{victim}-{donor}-{at}-{replace}.jsonl"));
+        std::fs::write(&path, spliced.concat()).unwrap();
+        let result = run_session(SEEDS[victim], &path, true);
+        let overridden = !replace && at == 0 && line.starts_with(b"{\"kind\":\"checkpoint_header\"");
+        prop_assert!(
+            overridden || matches!(result, Err(CometError::Checkpoint(_))),
+            "a spliced checkpoint resumed: {:?}", result
+        );
+        check_resumed(victim, &path, result, true)?;
+        std::fs::remove_file(&path).ok();
     }
 }
 

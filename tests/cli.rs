@@ -359,7 +359,7 @@ fn unresumable_checkpoints_are_refused_before_any_work() {
     let out = recommend("2", false);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let header = fs::read_to_string(&ckpt).unwrap();
-    assert!(header.contains("\"version\":3"), "{header}");
+    assert!(header.contains("\"version\":4"), "{header}");
 
     // The same settings resume.
     let out = recommend("2", true);
@@ -374,13 +374,14 @@ fn unresumable_checkpoints_are_refused_before_any_work() {
     assert!(stderr.contains("checkpoint error: refusing to resume"), "{stderr}");
     assert!(stderr.contains("`budget` (checkpoint 2.0, session 3.0)"), "{stderr}");
 
-    // A version-2 header is refused by version.
-    fs::write(&ckpt, header.replacen("\"version\":3", "\"version\":2", 1)).unwrap();
+    // A version-3 header, which carried evaluation-cache records, is
+    // refused by version.
+    fs::write(&ckpt, header.replacen("\"version\":4", "\"version\":3", 1)).unwrap();
     let out = recommend("2", true);
     let (stdout, stderr) =
         (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(!stdout.contains("dirty F1"), "{stdout}");
-    assert!(stderr.contains("checkpoint header version 2 is not supported"), "{stderr}");
+    assert!(stderr.contains("checkpoint header version 3 is not supported"), "{stderr}");
     fs::remove_dir_all(dir).ok();
 }

@@ -111,7 +111,6 @@ fn journal_sink_absent_means_no_records_but_same_trace() {
     let session = CleaningSession::new(quick_config(4.0), vec![ErrorType::MissingValues]);
     let run = |enabled: bool| {
         let mut env = env0.clone();
-        env.clear_eval_cache();
         comet::obs::reset();
         comet::obs::set_enabled(enabled);
         let mut rng = StdRng::seed_from_u64(8);

@@ -304,8 +304,10 @@ mod fingerprint_props {
 
         /// Mutating any single cell — value, validity bit, or categorical
         /// code — changes the frame fingerprint, and undoing the mutation
-        /// restores it bit-for-bit. This is the soundness condition of the
-        /// evaluation cache: distinct data states must not share a key.
+        /// restores it bit-for-bit. This is the soundness condition of
+        /// everything fingerprints key (the feature-block cache, the
+        /// detection memo, spill files): distinct data states must not
+        /// share a key.
         #[test]
         fn fingerprint_tracks_single_cell_mutations(
             values in prop::collection::vec(-1e3f64..1e3, 20..60),
