@@ -14,15 +14,17 @@
 //! cleaning step, only to recover").
 
 use comet_core::{
-    Budget, CleaningEnvironment, CleaningTrace, CometConfig, CometError, EnvError, StepAction,
-    StepRecord,
+    CleaningEnvironment, CleaningTrace, CometConfig, CometError, EnvError, SessionState, StepAction,
 };
 use comet_jenga::ErrorType;
 use comet_ml::sgd::{Glm, Loss, SgdParams};
 use comet_ml::{Algorithm, Featurizer};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Record-wise steps clean no single feature: ActiveClean books every step
+/// under this column, so its step counts are per error type.
+const ALL_FEATURES: usize = usize::MAX;
 
 /// ActiveClean hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,24 +64,19 @@ impl ActiveClean {
         }
     }
 
-    /// Run AC to completion (budget or clean).
+    /// Run AC to completion (budget or clean). Every step is booked
+    /// through COMET's own [`SessionState`], under `(ALL_FEATURES, err)`
+    /// pairs. The error types are not consulted: AC cleans whole records,
+    /// whatever dirt they carry.
     pub fn run<R: Rng>(
         &self,
         env: &mut CleaningEnvironment,
-        errors: &[ErrorType],
+        _errors: &[ErrorType],
         config: &CometConfig,
         rng: &mut R,
     ) -> Result<CleaningTrace, CometError> {
         let loss = Self::loss_for(env.model().algorithm)?;
-        let mut budget = Budget::new(config.budget);
-        let mut steps_done: BTreeMap<ErrorType, usize> = BTreeMap::new();
-
-        let mut trace = CleaningTrace {
-            initial_f1: env.evaluate()?,
-            fully_clean_f1: Some(env.fully_cleaned_f1()?),
-            ..CleaningTrace::default()
-        };
-        let mut current_f1 = trace.initial_f1;
+        let mut state = SessionState::new(config, env)?;
 
         // --- Pre-train on the records that are already clean (§5.3). ---
         let mut glm = Glm::new(
@@ -108,7 +105,8 @@ impl ActiveClean {
         }
 
         for iteration in 0..100_000usize {
-            if budget.exhausted() {
+            state.set_iteration(iteration);
+            if state.budget().exhausted() {
                 break;
             }
             let (dirty_train, dirty_test) = dirty_rows(env)?;
@@ -130,24 +128,25 @@ impl ActiveClean {
                 rng,
             );
             let batch_test = uniform_sample(&dirty_test, env.step_test(), rng);
-            trace.iteration_runtimes.push(started.elapsed());
+            state.push_runtime(started.elapsed());
 
-            // Charge the budget before mutating: the cost reflects the mix
-            // of error types about to be cleaned (feature-level alignment).
-            let cost = self.batch_cost(env, &batch_train, &batch_test, config, &steps_done);
-            if !budget.can_afford(cost) {
+            // Price the batch before mutating: the cost reflects the mix of
+            // error types about to be cleaned (feature-level alignment).
+            let (cost, err_types) = batch_cost(env, &state, config, &batch_train, &batch_test);
+            if !state.budget().can_afford(cost) {
                 break;
             }
-            let err_types = self.batch_error_types(env, &batch_train, &batch_test);
-
-            let cleaned = env.clean_records(&batch_train, &batch_test, rng)?;
+            let cleaned = env.clean_records(&batch_train, &batch_test)?;
             if cleaned == 0 && !batch_train.is_empty() {
                 // Nothing actually changed (stale rows): avoid spinning.
                 break;
             }
-            budget.try_spend(cost);
-            for e in &err_types {
-                *steps_done.entry(*e).or_default() += 1;
+            // The batch's cost is paid once, under its first error type;
+            // every further type it touched takes a step at no charge.
+            let first = err_types.first().copied().unwrap_or(ErrorType::MissingValues);
+            state.charge(cost, (ALL_FEATURES, first));
+            for &err in err_types.iter().skip(1) {
+                state.charge(0.0, (ALL_FEATURES, err));
             }
 
             // SGD update on the newly cleaned records (the AC model update).
@@ -168,85 +167,47 @@ impl ActiveClean {
             let preds: Vec<u32> =
                 (0..x_test.nrows()).map(|i| glm.predict_row(x_test.row(i))).collect();
             let f1 = env.metric().eval(&y_test, &preds, env.n_classes());
-            current_f1 = f1;
-            let (col, err) = (
-                usize::MAX, // record-wise: no single feature
-                err_types.first().copied().unwrap_or(ErrorType::MissingValues),
-            );
-            trace.records.push(StepRecord {
-                iteration,
-                col,
-                err,
-                action: StepAction::Accepted,
-                cost,
-                budget_spent: budget.spent(),
-                predicted_f1: None,
-                raw_predicted_f1: None,
-                actual_f1: f1,
-                cleaned_cells: cleaned,
-            });
-            trace.f1_curve.push((budget.spent(), f1));
-            let _ = errors; // provenance-level filtering happens via the env
+            state.accept(f1);
+            state.record((ALL_FEATURES, first), StepAction::Accepted, cost, None, f1, cleaned);
+            state.mark_curve();
         }
-        trace.final_f1 = current_f1;
-        Ok(trace)
+        Ok(state.finish())
     }
+}
 
-    /// Distinct error types among the cells the batch will clean.
-    fn batch_error_types(
-        &self,
-        env: &CleaningEnvironment,
-        batch_train: &[usize],
-        batch_test: &[usize],
-    ) -> Vec<ErrorType> {
-        let mut out: Vec<ErrorType> = Vec::new();
-        for col in env.feature_cols() {
-            for &err in &ErrorType::ALL {
-                let tr = env.dirty_train_rows(col, err);
-                let te = env.dirty_test_rows(col, err);
-                let hit = batch_train.iter().any(|r| tr.contains(r))
-                    || batch_test.iter().any(|r| te.contains(r));
-                if hit && !out.contains(&err) {
-                    out.push(err);
+/// Price a record batch and name the error types it touches, in one scan
+/// of the provenance. The cost is the cell-count-weighted mean of the
+/// touched types' next-step costs (the paper's feature-level alignment;
+/// discrepancies are minor under its equal-error-distribution assumption),
+/// or one unit when the batch touches no known error type.
+fn batch_cost(
+    env: &CleaningEnvironment,
+    state: &SessionState,
+    config: &CometConfig,
+    batch_train: &[usize],
+    batch_test: &[usize],
+) -> (f64, Vec<ErrorType>) {
+    let mut weighted = 0.0;
+    let mut total = 0usize;
+    let mut touched: Vec<ErrorType> = Vec::new();
+    for col in env.feature_cols() {
+        for &err in &ErrorType::ALL {
+            let tr = env.dirty_train_rows(col, err);
+            let te = env.dirty_test_rows(col, err);
+            let hits = batch_train.iter().filter(|r| tr.contains(r)).count()
+                + batch_test.iter().filter(|r| te.contains(r)).count();
+            if hits > 0 {
+                weighted += hits as f64 * state.next_cost(config, (ALL_FEATURES, err));
+                total += hits;
+                if !touched.contains(&err) {
+                    touched.push(err);
                 }
             }
         }
-        out.sort_unstable();
-        out
     }
-
-    /// Cost of a record batch: the cell-count-weighted mean of the per-error
-    /// next-step costs (the paper's feature-level alignment; discrepancies
-    /// are minor under its equal-error-distribution assumption).
-    fn batch_cost(
-        &self,
-        env: &CleaningEnvironment,
-        batch_train: &[usize],
-        batch_test: &[usize],
-        config: &CometConfig,
-        steps_done: &BTreeMap<ErrorType, usize>,
-    ) -> f64 {
-        let mut weighted = 0.0;
-        let mut total = 0usize;
-        for col in env.feature_cols() {
-            for &err in &ErrorType::ALL {
-                let tr = env.dirty_train_rows(col, err);
-                let te = env.dirty_test_rows(col, err);
-                let hits = batch_train.iter().filter(|r| tr.contains(r)).count()
-                    + batch_test.iter().filter(|r| te.contains(r)).count();
-                if hits > 0 {
-                    let done = steps_done.get(&err).copied().unwrap_or(0);
-                    weighted += hits as f64 * config.costs.next_cost(err, done);
-                    total += hits;
-                }
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            weighted / total as f64
-        }
-    }
+    touched.sort_unstable();
+    let cost = if total == 0 { 1.0 } else { weighted / total as f64 };
+    (cost, touched)
 }
 
 /// Rows with a ground-truth dirty cell in any feature, per split

@@ -95,6 +95,25 @@ pub(crate) mod test_support {
         levels: Vec<(usize, f64)>,
         algorithm: Algorithm,
     ) -> CleaningEnvironment {
+        env_under(Scenario::SingleError(ErrorType::MissingValues), seed, levels, algorithm)
+    }
+
+    /// The same environment under the multi-error pre-pollution (§4.1):
+    /// each pollution step of a feature draws its own error type.
+    pub fn multi_error_env(
+        seed: u64,
+        levels: Vec<(usize, f64)>,
+        algorithm: Algorithm,
+    ) -> CleaningEnvironment {
+        env_under(Scenario::MultiError, seed, levels, algorithm)
+    }
+
+    fn env_under(
+        scenario: Scenario,
+        seed: u64,
+        levels: Vec<(usize, f64)>,
+        algorithm: Algorithm,
+    ) -> CleaningEnvironment {
         let mut rng = StdRng::seed_from_u64(seed);
         let df = comet_datasets::Dataset::Eeg.generate(Some(240), &mut rng);
         let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
@@ -104,8 +123,7 @@ pub(crate) mod test_support {
         let mut test = tt.test;
         let mut prov_train = Provenance::for_frame(&train);
         let mut prov_test = Provenance::for_frame(&test);
-        let plan =
-            PrePollutionPlan::explicit(Scenario::SingleError(ErrorType::MissingValues), levels);
+        let plan = PrePollutionPlan::explicit(scenario, levels);
         plan.apply(&mut train, 0.01, &mut prov_train, &mut rng).unwrap();
         plan.apply(&mut test, 0.01, &mut prov_test, &mut rng).unwrap();
         CleaningEnvironment::new(
@@ -157,39 +175,114 @@ mod tests {
 
 #[cfg(test)]
 mod golden {
-    use super::test_support::small_env;
-    use crate::{CometLight, FeatureImportanceCleaner, Oracle, RandomCleaner};
+    use super::test_support::{multi_error_env, small_env};
+    use crate::{ActiveClean, CometLight, FeatureImportanceCleaner, Oracle, RandomCleaner};
     use comet_core::{CleaningTrace, CometConfig, CostModel, CostPolicy, StepAction};
     use comet_jenga::ErrorType;
     use comet_ml::Algorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// FNV-1a 64, fed one little-endian `u64` at a time.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn eat(&mut self, v: u64) {
+            for b in v.to_le_bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+
+        /// An optional F1: a presence tag, then its bits.
+        fn eat_opt(&mut self, v: Option<f64>) {
+            self.eat(v.is_some() as u64);
+            if let Some(x) = v {
+                self.eat(x.to_bits());
+            }
+        }
+    }
+
     /// FNV-1a over every decision of a trace except its predictions: per
     /// record the iteration, pair, action, cost, `actual_f1` bits and
     /// cleaned cells, then the F1 curve's bits.
     fn digest(trace: &CleaningTrace) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv::new();
         for r in &trace.records {
-            eat(r.iteration as u64);
-            eat(r.col as u64);
-            eat(r.err as u64);
-            eat(r.action as u64);
-            eat(r.cost.to_bits());
-            eat(r.actual_f1.to_bits());
-            eat(r.cleaned_cells as u64);
+            h.eat(r.iteration as u64);
+            h.eat(r.col as u64);
+            h.eat(r.err as u64);
+            h.eat(r.action as u64);
+            h.eat(r.cost.to_bits());
+            h.eat(r.actual_f1.to_bits());
+            h.eat(r.cleaned_cells as u64);
         }
         for &(spent, f1) in &trace.f1_curve {
-            eat(spent.to_bits());
-            eat(f1.to_bits());
+            h.eat(spent.to_bits());
+            h.eat(f1.to_bits());
         }
-        h
+        h.0
+    }
+
+    /// FNV-1a over a whole trace but its wall-clock runtimes: the initial
+    /// and fully-clean F1, every field of every record (predictions and
+    /// budget spent included), the F1 curve and the final F1.
+    fn full_digest(trace: &CleaningTrace) -> u64 {
+        let mut h = Fnv::new();
+        h.eat(trace.initial_f1.to_bits());
+        h.eat_opt(trace.fully_clean_f1);
+        for r in &trace.records {
+            h.eat(r.iteration as u64);
+            h.eat(r.col as u64);
+            h.eat(r.err as u64);
+            h.eat(r.action as u64);
+            h.eat(r.cost.to_bits());
+            h.eat(r.budget_spent.to_bits());
+            h.eat_opt(r.predicted_f1);
+            h.eat_opt(r.raw_predicted_f1);
+            h.eat(r.actual_f1.to_bits());
+            h.eat(r.cleaned_cells as u64);
+        }
+        for &(spent, f1) in &trace.f1_curve {
+            h.eat(spent.to_bits());
+            h.eat(f1.to_bits());
+        }
+        h.eat(trace.final_f1.to_bits());
+        h.0
+    }
+
+    #[test]
+    fn activeclean_traces_match_golden_digests() {
+        // Recorded when ActiveClean kept its own budget, per-error step
+        // counts and trace: booking through `SessionState` must reproduce
+        // every record. Multi-error dirt under the paper's multi-error
+        // costs makes batches mix error types at one-shot (MV), linear
+        // (GN) and constant (S) prices.
+        let config = CometConfig {
+            budget: 15.0,
+            costs: CostPolicy::paper_multi(),
+            ..CometConfig::default()
+        };
+        let errors = [ErrorType::MissingValues, ErrorType::GaussianNoise, ErrorType::Scaling];
+        let cases = [
+            (Algorithm::Svm, 0x05e6_8c10_3818_82f3),
+            (Algorithm::LinReg, 0xa51c_4a19_97d3_8b9c),
+            (Algorithm::LogReg, 0xd62b_82a0_3387_2da0),
+        ];
+        for (algorithm, want) in cases {
+            let mut env = multi_error_env(4, vec![(0, 0.3), (1, 0.2), (5, 0.3)], algorithm);
+            let mut rng = StdRng::seed_from_u64(5);
+            let trace = ActiveClean::default().run(&mut env, &errors, &config, &mut rng).unwrap();
+            let got = full_digest(&trace);
+            assert_eq!(got, want, "AC-{algorithm} digest {got:#018x} != {want:#018x}");
+            // A batch's cost is the cell-weighted mean of its error types'
+            // prices, so a fractional cost is a batch that mixed types.
+            assert!(trace.records.iter().any(|r| r.cost.fract() != 0.0), "AC-{algorithm}");
+        }
     }
 
     #[test]

@@ -13,13 +13,10 @@
 //! * [`Ols`] — ordinary least squares (cross-check and baseline),
 //! * [`StudentT`] — CDF/quantiles via the regularized incomplete beta
 //!   function (Lanczos log-gamma + Lentz continued fraction),
-//! * [`Hypergeometric`] — the distribution the paper uses (§3.1) to argue
-//!   that polluting already-dirty cells is unlikely at low dirt ratios,
-//! * [`RunningStats`] — Welford online mean/variance,
+//! * [`RunningStats`] — online mean (the Estimator's bias correction),
 //! * small dense linear algebra (Cholesky solve) shared by the above.
 
 mod blr;
-mod hypergeom;
 mod linalg;
 mod ols;
 mod poly;
@@ -28,7 +25,6 @@ mod special;
 mod student_t;
 
 pub use blr::{BayesError, BayesianLinearRegression, BlrConfig, Posterior, Prediction};
-pub use hypergeom::Hypergeometric;
 pub use linalg::{cholesky_solve, CholeskyError};
 pub use ols::Ols;
 pub use poly::PolynomialBasis;

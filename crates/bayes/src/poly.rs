@@ -36,15 +36,6 @@ impl PolynomialBasis {
         }
         out
     }
-
-    /// Expand many inputs into a row-major design matrix (`n × dim`).
-    pub fn design_matrix(self, xs: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(xs.len() * self.dim());
-        for &x in xs {
-            out.extend_from_slice(&self.expand(x));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -64,12 +55,5 @@ mod tests {
     fn degree_zero_is_intercept_only() {
         let basis = PolynomialBasis::new(0);
         assert_eq!(basis.expand(42.0), vec![1.0]);
-    }
-
-    #[test]
-    fn design_matrix_layout() {
-        let basis = PolynomialBasis::new(1);
-        let m = basis.design_matrix(&[2.0, 5.0]);
-        assert_eq!(m, vec![1.0, 2.0, 1.0, 5.0]);
     }
 }

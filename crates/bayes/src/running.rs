@@ -1,71 +1,27 @@
-//! Welford online mean/variance accumulator.
+//! Welford online mean accumulator.
 //!
 //! The Estimator's bias correction (paper §3.3, last paragraph) maintains a
 //! running mean of prediction discrepancies per feature; this accumulator
 //! does so in O(1) memory and numerically stably.
 
-/// Online mean and variance over a stream of `f64` observations.
+/// Online mean over a stream of `f64` observations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Mean (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Sample variance (n − 1 denominator; 0 when n < 2).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
     }
 }
 
@@ -76,70 +32,27 @@ mod tests {
     #[test]
     fn matches_batch_computation() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rs = RunningStats::new();
+        let mut rs = RunningStats::default();
         for &x in &data {
             rs.push(x);
         }
-        assert_eq!(rs.count(), 8);
         assert!((rs.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic dataset is 32/7.
-        assert!((rs.variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_single() {
-        let mut rs = RunningStats::new();
+        let mut rs = RunningStats::default();
         assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
         rs.push(3.5);
         assert_eq!(rs.mean(), 3.5);
-        assert_eq!(rs.variance(), 0.0);
-        assert_eq!(rs.std(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let (a_data, b_data) = ([1.0, 2.0, 3.0], [10.0, 20.0, 30.0, 40.0]);
-        let mut a = RunningStats::new();
-        for &x in &a_data {
-            a.push(x);
-        }
-        let mut b = RunningStats::new();
-        for &x in &b_data {
-            b.push(x);
-        }
-        let mut merged = a;
-        merged.merge(&b);
-
-        let mut seq = RunningStats::new();
-        for &x in a_data.iter().chain(&b_data) {
-            seq.push(x);
-        }
-        assert_eq!(merged.count(), seq.count());
-        assert!((merged.mean() - seq.mean()).abs() < 1e-12);
-        assert!((merged.variance() - seq.variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]
     fn stable_under_large_offsets() {
-        let mut rs = RunningStats::new();
+        let mut rs = RunningStats::default();
         for i in 0..1000 {
             rs.push(1e9 + (i % 5) as f64);
         }
-        assert!((rs.variance() - 2.002) < 0.01);
+        assert!((rs.mean() - (1e9 + 2.0)).abs() < 1e-6);
     }
 }

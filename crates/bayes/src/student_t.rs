@@ -1,6 +1,6 @@
-//! Student-t distribution: PDF, CDF, and quantiles.
+//! Student-t distribution: CDF and quantiles.
 
-use crate::special::{ln_gamma, regularized_incomplete_beta};
+use crate::special::regularized_incomplete_beta;
 
 /// Student-t distribution with `nu` degrees of freedom (location 0, scale 1).
 ///
@@ -22,15 +22,6 @@ impl StudentT {
     /// Degrees of freedom.
     pub fn nu(self) -> f64 {
         self.nu
-    }
-
-    /// Probability density at `t`.
-    pub fn pdf(self, t: f64) -> f64 {
-        let nu = self.nu;
-        let ln_norm = ln_gamma((nu + 1.0) / 2.0)
-            - ln_gamma(nu / 2.0)
-            - 0.5 * (nu * std::f64::consts::PI).ln();
-        (ln_norm - (nu + 1.0) / 2.0 * (1.0 + t * t / nu).ln()).exp()
     }
 
     /// Cumulative distribution function at `t`, via the identity
@@ -139,21 +130,6 @@ mod tests {
             let q = t.quantile(p);
             assert!((t.cdf(q) - p).abs() < 1e-10, "p={p}");
         }
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        // Trapezoid over [-50, 50] for ν = 4.
-        let t = StudentT::new(4.0);
-        let n = 20_000;
-        let (a, b) = (-50.0, 50.0);
-        let h = (b - a) / n as f64;
-        let mut total = 0.5 * (t.pdf(a) + t.pdf(b));
-        for i in 1..n {
-            total += t.pdf(a + i as f64 * h);
-        }
-        total *= h;
-        assert!((total - 1.0).abs() < 1e-4, "integral {total}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::opts::ExperimentOpts;
 use comet_core::{CleaningEnvironment, EnvError};
-use comet_datasets::Dataset;
+use comet_datasets::{CleanMlPair, Dataset};
 use comet_frame::{train_test_split, ColumnKind, SplitOptions};
 use comet_jenga::{ErrorType, GroundTruth, PrePollutionPlan, Provenance, Scenario};
 use comet_ml::{Algorithm, Metric, RandomSearch};
@@ -117,32 +117,8 @@ pub fn build_cleanml_env(
 
     let pair =
         dataset.generate_cleanml_pair(opts.rows.map(|r| r.min(dataset.spec().rows)), &mut rng);
-    // Split once (on the clean labels, which equal the dirty labels — labels
-    // are never polluted) and apply the same row partition to both versions.
-    let tt = train_test_split(&pair.clean, SplitOptions::default(), &mut rng)?;
-    let clean_train = pair.clean.take(&tt.train_rows)?;
-    let clean_test = pair.clean.take(&tt.test_rows)?;
-    let dirty_train = pair.dirty.take(&tt.train_rows)?;
-    let dirty_test = pair.dirty.take(&tt.test_rows)?;
-    let prov_train = split_provenance(&pair.provenance, pair.dirty.ncols(), &tt.train_rows);
-    let prov_test = split_provenance(&pair.provenance, pair.dirty.ncols(), &tt.test_rows);
-
-    let errors: Vec<ErrorType> = dataset.spec().cleanml_errors.to_vec();
-    let env = CleaningEnvironment::new(
-        dirty_train,
-        dirty_test,
-        GroundTruth::new(clean_train),
-        GroundTruth::new(clean_test),
-        prov_train,
-        prov_test,
-        algorithm,
-        Metric::F1,
-        0.01,
-        search(opts),
-        seed ^ 0x5EED,
-        &mut rng,
-    )?;
-    Ok(EnvSetup { env, dataset, algorithm, errors })
+    let env = pair_env(pair, algorithm, 0.01, opts, seed, &mut rng)?;
+    Ok(EnvSetup { env, dataset, algorithm, errors: dataset.spec().cleanml_errors.to_vec() })
 }
 
 /// Build a detection-seeded environment carrying planted REIN error
@@ -169,36 +145,42 @@ pub fn build_rein_env(
         families,
         &mut rng,
     );
-    // Same split discipline as the CleanML setup: partition rows once on
-    // the clean version, apply the identical partition to the dirty one.
-    let tt = train_test_split(&pair.clean, SplitOptions::default(), &mut rng)?;
-    let clean_train = pair.clean.take(&tt.train_rows)?;
-    let clean_test = pair.clean.take(&tt.test_rows)?;
-    let dirty_train = pair.dirty.take(&tt.train_rows)?;
-    let dirty_test = pair.dirty.take(&tt.test_rows)?;
-    let prov_train = split_provenance(&pair.provenance, pair.dirty.ncols(), &tt.train_rows);
-    let prov_test = split_provenance(&pair.provenance, pair.dirty.ncols(), &tt.test_rows);
-
-    let mut env = CleaningEnvironment::new(
-        dirty_train,
-        dirty_test,
-        GroundTruth::new(clean_train),
-        GroundTruth::new(clean_test),
-        prov_train,
-        prov_test,
-        algorithm,
-        Metric::F1,
-        // A coarser cleaning step than the oracle setups (5% of a column
-        // per unit): a detection-seeded cleaner works through a flagged
-        // column in batches, and per-step F1 movement must clear the
-        // evaluation noise floor for budget ranking to be measurable.
-        0.05,
-        search(opts),
-        seed ^ 0x5EED,
-        &mut rng,
-    )?;
+    // A coarser cleaning step than the oracle setups (5% of a column per
+    // unit): a detection-seeded cleaner works through a flagged column in
+    // batches, and per-step F1 movement must clear the evaluation noise
+    // floor for budget ranking to be measurable.
+    let mut env = pair_env(pair, algorithm, 0.05, opts, seed, &mut rng)?;
     env.enable_detection(detect);
     Ok(EnvSetup { env, dataset, algorithm, errors: families.to_vec() })
+}
+
+/// Wire a generated (dirty, clean) pair into an environment. Rows are
+/// partitioned once, on the clean version, and the same partition is
+/// applied to the dirty version and the provenance.
+fn pair_env(
+    pair: CleanMlPair,
+    algorithm: Algorithm,
+    step_frac: f64,
+    opts: &ExperimentOpts,
+    seed: u64,
+    rng: &mut StdRng,
+) -> Result<CleaningEnvironment, EnvError> {
+    let tt = train_test_split(&pair.clean, SplitOptions::default(), rng)?;
+    let ncols = pair.dirty.ncols();
+    CleaningEnvironment::new(
+        pair.dirty.take(&tt.train_rows)?,
+        pair.dirty.take(&tt.test_rows)?,
+        GroundTruth::new(pair.clean.take(&tt.train_rows)?),
+        GroundTruth::new(pair.clean.take(&tt.test_rows)?),
+        split_provenance(&pair.provenance, ncols, &tt.train_rows),
+        split_provenance(&pair.provenance, ncols, &tt.test_rows),
+        algorithm,
+        Metric::F1,
+        step_frac,
+        search(opts),
+        seed ^ 0x5EED,
+        rng,
+    )
 }
 
 /// Project a full-frame provenance onto a row subset.

@@ -101,12 +101,6 @@ impl CometConfig {
         }
         Ok(())
     }
-
-    /// Paper multi-error setup: multi-error cost policy, everything else
-    /// default.
-    pub fn multi_error() -> Self {
-        CometConfig { costs: CostPolicy::paper_multi(), ..CometConfig::default() }
-    }
 }
 
 #[cfg(test)]
@@ -148,11 +142,5 @@ mod tests {
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
         }
-    }
-
-    #[test]
-    fn multi_error_uses_paper_costs() {
-        let c = CometConfig::multi_error();
-        assert_eq!(c.costs, CostPolicy::paper_multi());
     }
 }

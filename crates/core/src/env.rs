@@ -569,11 +569,10 @@ impl CleaningEnvironment {
     /// Direct mutable access for strategies that clean record-wise
     /// (ActiveClean): restore the given rows across *all* feature columns.
     /// Returns the number of cells changed.
-    pub fn clean_records<R: Rng>(
+    pub fn clean_records(
         &mut self,
         train_rows: &[usize],
         test_rows: &[usize],
-        _rng: &mut R,
     ) -> Result<usize, EnvError> {
         let mut changed = 0;
         for &col in &self.feature_cols() {
@@ -829,9 +828,8 @@ mod tests {
     #[test]
     fn clean_records_clears_across_features() {
         let mut env = make_env(8);
-        let mut rng = StdRng::seed_from_u64(3);
         let (rows0, _) = env.gt_dirty_rows(0).unwrap();
-        let changed = env.clean_records(&rows0, &[], &mut rng).unwrap();
+        let changed = env.clean_records(&rows0, &[]).unwrap();
         assert!(changed >= rows0.len());
         assert!(env.dirty_train_rows(0, ErrorType::MissingValues).is_empty());
     }

@@ -179,11 +179,6 @@ impl Estimator {
     pub fn record_outcome(&mut self, col: usize, err: ErrorType, raw_predicted: f64, actual: f64) {
         self.discrepancies.entry((col, err)).or_default().push(actual - raw_predicted);
     }
-
-    /// Number of recorded outcomes (diagnostics).
-    pub fn n_outcomes(&self) -> usize {
-        self.discrepancies.values().map(|s| s.count() as usize).sum()
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +253,6 @@ mod tests {
         assert!(est.bias(0, ErrorType::MissingValues) > 0.0);
         // Other candidates unaffected.
         assert_eq!(est.bias(1, ErrorType::MissingValues), 0.0);
-        assert_eq!(est.n_outcomes(), 3);
     }
 
     #[test]

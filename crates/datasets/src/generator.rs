@@ -435,7 +435,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let df = Dataset::Eeg.generate(Some(600), &mut rng);
         let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
-        let (_, xtr, xte) = Featurizer::fit_transform(&tt.train, &tt.test).unwrap();
+        let featurizer = Featurizer::fit(&tt.train).unwrap();
+        let (xtr, xte) =
+            (featurizer.transform(&tt.train).unwrap(), featurizer.transform(&tt.test).unwrap());
         let ytr = tt.train.label_codes().unwrap();
         let yte = tt.test.label_codes().unwrap();
         let mut knn = KnnClassifier::new(KnnParams { k: 5 });
@@ -457,7 +459,9 @@ mod tests {
         let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
 
         let eval = |train: &DataFrame, test: &DataFrame, rng: &mut StdRng| {
-            let (_, xtr, xte) = Featurizer::fit_transform(train, test).unwrap();
+            let featurizer = Featurizer::fit(train).unwrap();
+            let (xtr, xte) =
+                (featurizer.transform(train).unwrap(), featurizer.transform(test).unwrap());
             let ytr = train.label_codes().unwrap();
             let yte = test.label_codes().unwrap();
             let mut knn = KnnClassifier::new(KnnParams { k: 5 });

@@ -123,20 +123,6 @@ impl Dataset {
         }
     }
 
-    /// Parse a (case-insensitive) dataset name.
-    pub fn parse(s: &str) -> Option<Dataset> {
-        match s.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-            "cmc" => Some(Dataset::Cmc),
-            "churn" | "telco" => Some(Dataset::Churn),
-            "eeg" => Some(Dataset::Eeg),
-            "scredit" | "southgermancredit" => Some(Dataset::SCredit),
-            "airbnb" => Some(Dataset::Airbnb),
-            "credit" => Some(Dataset::Credit),
-            "titanic" => Some(Dataset::Titanic),
-            _ => None,
-        }
-    }
-
     /// Generator configuration (schema + planted-signal seeds) for this
     /// dataset. `rows` overrides the Table 1 row count (the benchmark's
     /// `--quick` mode subsamples).
@@ -204,15 +190,6 @@ mod tests {
         let airbnb = Dataset::Airbnb.spec();
         assert_eq!(airbnb.n_numeric, 37);
         assert_eq!(airbnb.cleanml_errors, &[ErrorType::Scaling]);
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for d in Dataset::ALL {
-            assert_eq!(Dataset::parse(d.spec().name), Some(d));
-        }
-        assert_eq!(Dataset::parse("S-Credit"), Some(Dataset::SCredit));
-        assert_eq!(Dataset::parse("unknown"), None);
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod csv;
 mod error;
 mod fingerprint;
 mod frame;
-mod ops;
 mod schema;
 mod segment;
 mod spill;

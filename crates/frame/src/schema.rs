@@ -126,11 +126,6 @@ impl Schema {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Number of feature columns of the given kind.
-    pub fn count_features(&self, kind: ColumnKind) -> usize {
-        self.fields.iter().filter(|f| f.role == Role::Feature && f.kind == kind).count()
-    }
 }
 
 #[cfg(test)]
@@ -172,8 +167,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.label_index(), Some(2));
         assert_eq!(s.feature_indices(), vec![0, 1]);
-        assert_eq!(s.count_features(ColumnKind::Numeric), 1);
-        assert_eq!(s.count_features(ColumnKind::Categorical), 1);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   in a single-error or multi-error scenario, applied with independent
 //!   randomness to train and test splits,
 //! * [`GroundTruth`] — the clean reference used to *simulate* a Cleaner:
-//!   which cells are dirty, restore `k` of them, residual-dirt queries,
+//!   which cells are dirty, restore chosen ones, residual-dirt queries
+//!   (the Cleaner's step that chooses them is `comet-core`'s
+//!   `CleaningEnvironment::clean_step`),
 //! * [`Provenance`] — per-cell record of which error type polluted a cell,
 //!   required for the multi-error scenario where cleaning costs differ per
 //!   error type (§4.2).

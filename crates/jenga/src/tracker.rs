@@ -3,13 +3,12 @@
 //! COMET itself never sees this information (paper §3: "At no point does
 //! COMET require information about the actual pollution level … nor which
 //! entries are actually erroneous"). The *simulation harness* needs it to
-//! play the role of the Cleaner: restore `k` dirty cells of a feature, and
+//! play the role of the Cleaner: restore chosen dirty cells of a feature, and
 //! in the multi-error scenario know which error type polluted each cell so
 //! the correct cost model is charged (§4.2).
 
 use crate::ErrorType;
 use comet_frame::{DataFrame, FrameError, Result};
-use rand::Rng;
 
 /// The clean reference version of a (train or test) frame.
 #[derive(Debug, Clone)]
@@ -84,48 +83,6 @@ impl GroundTruth {
             }
         }
         Ok(restored)
-    }
-
-    /// Simulate one cleaning step on feature `col`: restore up to `k` dirty
-    /// cells. Cells listed in `preferred` are cleaned first (the paper's
-    /// Cleaner first cleans the entries the Polluter flagged, §3.3); the
-    /// remainder is drawn uniformly from the other dirty cells.
-    ///
-    /// Returns the rows restored (may be fewer than `k` if less dirt
-    /// remains).
-    pub fn clean_step<R: Rng + ?Sized>(
-        &self,
-        dirty: &mut DataFrame,
-        col: usize,
-        k: usize,
-        preferred: &[usize],
-        rng: &mut R,
-    ) -> Result<Vec<usize>> {
-        let dirty_rows = self.dirty_rows(dirty, col)?;
-        if dirty_rows.is_empty() || k == 0 {
-            return Ok(Vec::new());
-        }
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        for &p in preferred {
-            if chosen.len() == k {
-                break;
-            }
-            if dirty_rows.binary_search(&p).is_ok() && !chosen.contains(&p) {
-                chosen.push(p);
-            }
-        }
-        if chosen.len() < k {
-            // Uniform fill from the remaining dirty rows.
-            let mut rest: Vec<usize> =
-                dirty_rows.iter().copied().filter(|r| !chosen.contains(r)).collect();
-            let need = (k - chosen.len()).min(rest.len());
-            for i in 0..need {
-                let j = rng.gen_range(i..rest.len());
-                rest.swap(i, j);
-                chosen.push(rest[i]);
-            }
-        }
-        self.restore(dirty, col, &chosen)
     }
 }
 
@@ -264,43 +221,6 @@ mod tests {
         assert_eq!(restored, vec![1, 2]);
         assert!(gt.is_fully_clean(&df).unwrap());
         assert_eq!(df.get(1, 0).unwrap(), Cell::Num(1.0));
-    }
-
-    #[test]
-    fn clean_step_prefers_flagged_rows() {
-        let mut df = frame();
-        let gt = GroundTruth::new(df.clone());
-        let mut rng = StdRng::seed_from_u64(3);
-        inject(&mut df, 0, &[0, 1, 2, 3, 4, 5], ErrorType::MissingValues, &mut rng).unwrap();
-        let cleaned = gt.clean_step(&mut df, 0, 2, &[4, 5], &mut rng).unwrap();
-        assert_eq!(cleaned, vec![4, 5]);
-        assert_eq!(gt.dirty_rows(&df, 0).unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn clean_step_fills_from_random_dirty() {
-        let mut df = frame();
-        let gt = GroundTruth::new(df.clone());
-        let mut rng = StdRng::seed_from_u64(4);
-        inject(&mut df, 0, &[0, 1, 2, 3], ErrorType::MissingValues, &mut rng).unwrap();
-        // Preferred row 10 is clean → ignored; 3 cells still get cleaned.
-        let cleaned = gt.clean_step(&mut df, 0, 3, &[10], &mut rng).unwrap();
-        assert_eq!(cleaned.len(), 3);
-        assert_eq!(gt.dirty_count(&df, 0).unwrap(), 1);
-    }
-
-    #[test]
-    fn clean_step_exhausts_dirt() {
-        let mut df = frame();
-        let gt = GroundTruth::new(df.clone());
-        let mut rng = StdRng::seed_from_u64(5);
-        inject(&mut df, 0, &[7], ErrorType::MissingValues, &mut rng).unwrap();
-        let cleaned = gt.clean_step(&mut df, 0, 10, &[], &mut rng).unwrap();
-        assert_eq!(cleaned, vec![7]);
-        assert!(gt.is_fully_clean(&df).unwrap());
-        // Cleaning a clean column is a no-op.
-        let cleaned = gt.clean_step(&mut df, 0, 10, &[], &mut rng).unwrap();
-        assert!(cleaned.is_empty());
     }
 
     #[test]

@@ -22,9 +22,13 @@ use std::collections::{BTreeMap, BTreeSet};
 const TRACE_DEFS: [&str; 3] = ["CleaningTrace", "CheckpointWriter", "Recommender"];
 
 /// Record types whose *construction* (`StepRecord { .. }`) marks a crate
-/// as trace-writing even when the types are defined elsewhere (the
-/// baseline strategies build their own step records).
+/// as trace-writing even when the types are defined elsewhere.
 const TRACE_WRITES: [&str; 2] = ["StepRecord", "FailureRecord"];
+
+/// Loop state whose associated calls (`SessionState::new(..)`) mark a
+/// crate as trace-writing: the baseline strategies book every step into
+/// the trace through COMET's own session state.
+const TRACE_BOOKS: [&str; 1] = ["SessionState"];
 
 /// The D8 taint computation's result.
 #[derive(Debug, Default)]
@@ -102,11 +106,18 @@ fn is_root_file(file: &ScannedFile) -> bool {
     }
     // `StepRecord { .. }` construction: the ident followed by `{`, not
     // preceded by `struct`/`impl`/`for` (those are definitions/headers).
+    // `SessionState::..` calls: the ident followed by `::`.
     let ts = &file.lexed.tokens;
     for k in 0..ts.len() {
         let Some(id) = ident_at(ts, k) else { continue };
-        if !TRACE_WRITES.contains(&id) || !is_punct(ts, k + 1, b'{') || file.in_test(k) {
+        let books =
+            TRACE_BOOKS.contains(&id) && is_punct(ts, k + 1, b':') && is_punct(ts, k + 2, b':');
+        let writes = TRACE_WRITES.contains(&id) && is_punct(ts, k + 1, b'{');
+        if !(books || writes) || file.in_test(k) {
             continue;
+        }
+        if books {
+            return true;
         }
         let prev = k.checked_sub(1).and_then(|p| ident_at(ts, p));
         if !matches!(prev, Some("struct" | "impl" | "for" | "enum" | "union")) {
@@ -160,6 +171,22 @@ mod tests {
             scanned(
                 "crates/bench/src/lib.rs",
                 "#[cfg(test)]\nmod t { fn rec() { let r = StepRecord { iteration: 0 }; } }",
+            ),
+        ];
+        let t = compute_taint(&files, &[]);
+        assert_eq!(t.roots, ["baselines"].map(String::from).into());
+    }
+
+    #[test]
+    fn booking_through_session_state_is_a_root_but_tests_are_not() {
+        let files = vec![
+            scanned(
+                "crates/baselines/src/rr.rs",
+                "fn run() { let mut state = SessionState::new(config, env)?; }",
+            ),
+            scanned(
+                "crates/bench/src/lib.rs",
+                "fn f(s: &SessionState) {}\n#[cfg(test)]\nmod t { fn g() { SessionState::new(c, e); } }",
             ),
         ];
         let t = compute_taint(&files, &[]);

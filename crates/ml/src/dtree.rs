@@ -52,24 +52,6 @@ impl DecisionTreeClassifier {
         self.nodes.len()
     }
 
-    /// Human-readable dump of the tree structure (diagnostics).
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                Node::Leaf { class } => {
-                    out.push_str(&format!("{i}: leaf class={class}\n"));
-                }
-                Node::Split { feature, threshold, left, right } => {
-                    out.push_str(&format!(
-                        "{i}: split f{feature} @ {threshold:.4} -> {left}/{right}\n"
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     fn gini(counts: &[usize]) -> f64 {
         let n: usize = counts.iter().sum();
         if n == 0 {

@@ -646,6 +646,7 @@ impl ClassifierF32 for KnnF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{KernelTier, TierGuard};
     use crate::knn::KnnParams;
     use crate::linear::SvmParams;
     use crate::mlp::MlpParams;
@@ -691,6 +692,9 @@ mod tests {
 
     #[test]
     fn f32_fit_is_deterministic() {
+        // The kernel tier is process-global: hold it for both fits, or
+        // another test's guard can switch it between them.
+        let _g = TierGuard::select(KernelTier::Scalar);
         let (x64, y) = separable(80);
         let x = MatrixF32::from_matrix(&x64);
         let run = |seed: u64| {

@@ -485,17 +485,6 @@ impl Featurizer {
         }
         Ok(m)
     }
-
-    /// Fit on `train` and transform both splits — the common call.
-    pub fn fit_transform(
-        train: &DataFrame,
-        test: &DataFrame,
-    ) -> Result<(Featurizer, Matrix, Matrix)> {
-        let f = Featurizer::fit(train)?;
-        let xtr = f.transform(train)?;
-        let xte = f.transform(test)?;
-        Ok((f, xtr, xte))
-    }
 }
 
 #[cfg(test)]
@@ -588,7 +577,8 @@ mod tests {
     fn test_split_transformed_with_train_stats() {
         let train = frame();
         let test = frame().take(&[0, 1]).unwrap();
-        let (f, xtr, xte) = Featurizer::fit_transform(&train, &test).unwrap();
+        let f = Featurizer::fit(&train).unwrap();
+        let (xtr, xte) = (f.transform(&train).unwrap(), f.transform(&test).unwrap());
         assert_eq!(xtr.nrows(), 4);
         assert_eq!(xte.nrows(), 2);
         assert_eq!(xte.row(0), xtr.row(0), "same row, same stats → same output");

@@ -81,17 +81,6 @@ macro_rules! linear_classifier {
                 };
                 $name { glm: Glm::new($loss, sgd) }
             }
-
-            /// The underlying generalized linear model (weights, gradients) —
-            /// the hook ActiveClean uses.
-            pub fn glm(&self) -> &Glm {
-                &self.glm
-            }
-
-            /// Mutable access for incremental (ActiveClean-style) updates.
-            pub fn glm_mut(&mut self) -> &mut Glm {
-                &mut self.glm
-            }
         }
 
         impl Default for $name {
@@ -176,23 +165,6 @@ mod tests {
     #[test]
     fn linear_regression_classifier_learns() {
         check_learns(LinearRegressionClassifier::default());
-    }
-
-    #[test]
-    fn glm_accessors_expose_weights() {
-        let (x, y) = blobs();
-        let mut svm = LinearSvm::default();
-        let mut rng = StdRng::seed_from_u64(1);
-        svm.fit(&x, &y, 2, &mut rng);
-        assert_eq!(svm.glm().n_classes(), 2);
-        assert_eq!(svm.glm().dim(), 2);
-        assert_eq!(svm.glm().weights().len(), 2 * 3);
-        // Mutable hook works.
-        let before = svm.glm().weights().to_vec();
-        svm.glm_mut().sgd_step(x.row(0), y[0], 0.5);
-        // May or may not change (hinge margin), but must not panic and stays
-        // the right length.
-        assert_eq!(svm.glm().weights().len(), before.len());
     }
 
     #[test]

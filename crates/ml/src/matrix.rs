@@ -50,12 +50,6 @@ impl Matrix {
         Matrix { nrows, ncols, data: vec![0.0; nrows * ncols] }
     }
 
-    /// Build from row-major data. Panics if `data.len() != nrows * ncols`.
-    pub fn from_rows(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "data length must be nrows*ncols");
-        Matrix { nrows, ncols, data }
-    }
-
     /// Build from a slice of row vectors. An empty slice yields the empty
     /// `0×0` matrix; panics on ragged rows (programmer error in trusted
     /// callers — use [`Matrix::try_from_vecs`] for untrusted row data).
@@ -155,11 +149,6 @@ impl Matrix {
         }
         Matrix { nrows: rows.len(), ncols: self.ncols, data }
     }
-
-    /// Euclidean distance between two rows of (possibly different) matrices.
-    pub fn row_distance(a: &[f64], b: &[f64]) -> f64 {
-        crate::kernels::sq_dist(a, b).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -176,19 +165,6 @@ mod tests {
         assert_eq!(m.row(1), &[0.0, 0.0, 5.0]);
         m.row_mut(0)[0] = -1.0;
         assert_eq!(m.get(0, 0), -1.0);
-    }
-
-    #[test]
-    fn from_rows_and_vecs_agree() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vecs(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "nrows*ncols")]
-    fn bad_length_panics() {
-        Matrix::from_rows(2, 2, vec![1.0]);
     }
 
     #[test]
@@ -251,11 +227,5 @@ mod tests {
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.row(0), &[3.0]);
         assert_eq!(t.row(2), &[3.0]);
-    }
-
-    #[test]
-    fn distance() {
-        assert_eq!(Matrix::row_distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
-        assert_eq!(Matrix::row_distance(&[1.0], &[1.0]), 0.0);
     }
 }

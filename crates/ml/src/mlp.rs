@@ -319,6 +319,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // The kernel tier is process-global: hold it for both fits, or
+        // another test's guard can switch it between them.
+        let _g = TierGuard::select(KernelTier::Scalar);
         let (x, y) = xor_data();
         let run = |seed: u64| {
             let mut mlp = MlpClassifier::default();

@@ -63,11 +63,6 @@ pub fn put(buf: Vec<f64>) {
     pool.insert(at, buf);
 }
 
-/// Take a zero-filled `nrows × ncols` matrix backed by a pooled buffer.
-pub fn take_matrix(nrows: usize, ncols: usize) -> Matrix {
-    Matrix::from_buffer(nrows, ncols, take(nrows * ncols))
-}
-
 /// Recycle a matrix's backing buffer.
 pub fn put_matrix(m: Matrix) {
     put(m.into_buffer());
@@ -95,10 +90,10 @@ mod tests {
 
     #[test]
     fn matrix_helpers_zero_fill() {
-        let mut m = take_matrix(3, 2);
+        let mut m = Matrix::from_buffer(3, 2, take(6));
         m.set(1, 1, 5.0);
         put_matrix(m);
-        let m2 = take_matrix(3, 2);
+        let m2 = Matrix::from_buffer(3, 2, take(6));
         // Whatever buffer we got, from_buffer zero-fills it.
         assert!(m2.as_slice().iter().all(|&v| v == 0.0));
         put_matrix(m2);

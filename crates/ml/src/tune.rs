@@ -108,6 +108,7 @@ impl RandomSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{KernelTier, TierGuard};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -158,6 +159,9 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // The kernel tier is process-global: hold it for both fits, or
+        // another test's guard can switch it between them.
+        let _g = TierGuard::select(KernelTier::Scalar);
         let (x, y) = blobs(80);
         let search = RandomSearch { n_samples: 4, ..RandomSearch::default() };
         let run = |seed| {

@@ -14,9 +14,9 @@ use std::sync::{LazyLock, Mutex};
 
 static SINK: LazyLock<Mutex<Option<Box<dyn Write + Send>>>> = LazyLock::new(|| Mutex::new(None));
 
-/// The most recent journal write/flush error, kept until [`take_sink`]
-/// (or [`last_error`] inspection) so a dropped line is visible after the
-/// fact even though [`emit`] itself never propagates failures.
+/// The most recent journal write/flush error, kept until [`take_sink`] so a
+/// dropped line is visible after the fact even though [`emit`] itself
+/// never propagates failures.
 static LAST_ERROR: Mutex<Option<String>> = Mutex::new(None);
 
 fn record_error(context: &str, e: &std::io::Error) {
@@ -59,12 +59,6 @@ pub fn take_sink() -> (Option<Box<dyn Write + Send>>, Option<String>) {
     };
     let error = LAST_ERROR.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
     (sink, error)
-}
-
-/// The last recorded journal write/flush error, if any, without clearing
-/// it or touching the sink.
-pub fn last_error() -> Option<String> {
-    LAST_ERROR.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
 }
 
 /// Whether a sink is currently installed.
@@ -210,10 +204,9 @@ mod tests {
         let replaced = set_sink(Some(Box::new(SharedBuffer::new())));
         assert!(replaced);
         assert_eq!(crate::snapshot().counter("journal.write_errors"), 1);
-        let error = last_error().expect("flush failure recorded");
-        assert!(error.contains("flush failed"), "{error}");
         let (_, taken) = take_sink();
-        assert!(taken.is_some(), "take_sink surfaces the recorded error");
+        let error = taken.expect("take_sink surfaces the recorded flush failure");
+        assert!(error.contains("flush failed"), "{error}");
         crate::set_enabled(false);
     }
 }

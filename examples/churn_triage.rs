@@ -65,7 +65,6 @@ fn main() {
         &mut rng,
     )
     .expect("environment");
-    println!("dirty F1: {:.4}\n", env.evaluate().expect("evaluate"));
 
     // The paper's multi-error cost model: MV one-shot (2 then free), GN
     // linear (1, +1 per step), CS/S constant 1.
@@ -77,6 +76,7 @@ fn main() {
     let mut comet_env = env.clone();
     let outcome = session.run(&mut comet_env, &mut rng).expect("COMET session");
     let comet = outcome.trace;
+    println!("dirty F1: {:.4}\n", comet.initial_f1);
 
     println!("COMET's cleaning order (feature, error type, cost):");
     for r in comet.records.iter().take(12) {

@@ -71,7 +71,6 @@ fn main() {
         &mut rng,
     )
     .expect("environment");
-    println!("dirty F1: {:.4}\n", env.evaluate().expect("evaluate"));
 
     // COMET.
     let session = CleaningSession::new(
@@ -80,6 +79,7 @@ fn main() {
     );
     let mut comet_env = env.clone();
     let comet = session.run(&mut comet_env, &mut rng).expect("session").trace;
+    println!("dirty F1: {:.4}\n", comet.initial_f1);
 
     // FIR.
     let fir = FeatureImportanceCleaner::default();

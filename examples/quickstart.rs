@@ -61,13 +61,13 @@ fn main() {
         &mut rng,
     )
     .expect("environment");
-    println!("dirty F1: {:.4}", env.evaluate().expect("evaluate"));
 
     // 4. Run COMET with a budget of 10 units.
     let config = CometConfig { budget: 10.0, ..CometConfig::default() };
     let session = CleaningSession::new(config, vec![ErrorType::MissingValues]);
     let outcome = session.run(&mut env, &mut rng).expect("session");
     let trace = outcome.trace;
+    println!("dirty F1: {:.4}", trace.initial_f1);
 
     // 5. Inspect the step-by-step recommendations.
     println!("\nstep-by-step recommendations:");

@@ -1,9 +1,13 @@
 //! Property-based tests (proptest) on cross-crate invariants.
 
-use comet::bayes::{BayesianLinearRegression, BlrConfig, Hypergeometric, StudentT};
+use comet::bayes::{BayesianLinearRegression, BlrConfig, StudentT};
+use comet::core::CleaningEnvironment;
 use comet::frame::{train_test_split, Cell, Column, DataFrame, SplitOptions};
-use comet::jenga::{inject, sample_rows, ErrorType, GroundTruth};
+use comet::jenga::{
+    inject, sample_rows, ErrorType, GroundTruth, PrePollutionPlan, Provenance, Scenario,
+};
 use comet::ml::metrics::{accuracy, f1_binary, f1_macro};
+use comet::ml::{Algorithm, Metric, RandomSearch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,30 +69,51 @@ proptest! {
         prop_assert_eq!(df, df0);
     }
 
-    /// Ground-truth cleaning: after cleaning at most `k` cells, the dirty
-    /// count decreases by exactly the number of cleaned cells and never
-    /// exceeds the step size.
+    /// The Cleaner's step (§3.3), as every session runs it: one
+    /// `clean_step` restores at most one step's worth of cells per split,
+    /// the flagged rows first, and the dirty count falls by exactly the
+    /// number of cells it reports.
     #[test]
     fn cleaning_steps_account_exactly(
-        values in prop::collection::vec(-100f64..100.0, 30..50),
+        values in prop::collection::vec(-100f64..100.0, 40..60),
         seed in 0u64..1000,
-        pollute_k in 5usize..15,
-        clean_k in 1usize..8,
+        level in 0.1f64..0.4,
+        step_frac in 0.02f64..0.2,
+        n_flagged in 0usize..4,
     ) {
         let n = values.len();
         let labels: Vec<u8> = (0..n as u8).collect();
         let cats = vec![0u8; n];
-        let df0 = frame(&values, &cats, &labels);
-        let gt = GroundTruth::new(df0.clone());
-        let mut df = df0.clone();
+        let df = frame(&values, &cats, &labels);
         let mut rng = StdRng::seed_from_u64(seed);
-        let rows = sample_rows(n, pollute_k, &mut rng);
-        inject(&mut df, 0, &rows, ErrorType::MissingValues, &mut rng).unwrap();
-        let before = gt.dirty_count(&df, 0).unwrap();
-        let cleaned = gt.clean_step(&mut df, 0, clean_k, &[], &mut rng).unwrap();
-        let after = gt.dirty_count(&df, 0).unwrap();
-        prop_assert_eq!(before - after, cleaned.len());
-        prop_assert!(cleaned.len() <= clean_k);
+        let tt = train_test_split(&df, SplitOptions::default(), &mut rng).unwrap();
+        let gt_train = GroundTruth::new(tt.train.clone());
+        let gt_test = GroundTruth::new(tt.test.clone());
+        let (mut train, mut test) = (tt.train, tt.test);
+        let mut prov_train = Provenance::for_frame(&train);
+        let mut prov_test = Provenance::for_frame(&test);
+        let mv = ErrorType::MissingValues;
+        let plan = PrePollutionPlan::explicit(Scenario::SingleError(mv), vec![(0, level)]);
+        plan.apply(&mut train, 0.01, &mut prov_train, &mut rng).unwrap();
+        plan.apply(&mut test, 0.01, &mut prov_test, &mut rng).unwrap();
+        let search = RandomSearch { n_samples: 1, ..RandomSearch::default() };
+        let mut env = CleaningEnvironment::new(
+            train, test, gt_train, gt_test, prov_train, prov_test,
+            Algorithm::Knn, Metric::F1, step_frac, search, seed, &mut rng,
+        ).unwrap();
+        // The last dirty rows: a uniform draw would rarely pick them first.
+        let flagged: Vec<usize> =
+            env.dirty_train_rows(0, mv).into_iter().rev().take(n_flagged).collect();
+        let before = env.total_dirty().unwrap();
+        let (train_cells, test_cells) = env.clean_step(0, mv, &flagged, &[], &mut rng).unwrap();
+        let after = env.total_dirty().unwrap();
+        prop_assert_eq!(before - after, train_cells + test_cells);
+        prop_assert!(train_cells >= 1, "a dirty split must give up at least one cell");
+        prop_assert!(train_cells <= env.step_train() && test_cells <= env.step_test());
+        let dirty = env.dirty_train_rows(0, mv);
+        for row in flagged.iter().take(env.step_train()) {
+            prop_assert!(!dirty.contains(row), "flagged row {} left dirty", row);
+        }
     }
 
     /// Train/test split partitions rows exactly, with no duplication.
@@ -173,20 +198,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&c));
         prop_assert!((dist.cdf(t) + dist.cdf(-t) - 1.0).abs() < 1e-9);
         prop_assert!(dist.cdf(t + 0.1) >= c - 1e-12);
-    }
-
-    /// Hypergeometric PMF sums to one over its support.
-    #[test]
-    fn hypergeometric_normalizes(
-        population in 1u64..200,
-        successes_frac in 0.0f64..1.0,
-        draws_frac in 0.0f64..1.0,
-    ) {
-        let successes = (population as f64 * successes_frac) as u64;
-        let draws = (population as f64 * draws_frac) as u64;
-        let h = Hypergeometric::new(population, successes, draws);
-        let total: f64 = (h.min_k()..=h.max_k()).map(|k| h.pmf(k)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9, "total {}", total);
     }
 
     /// Cells written through the typed API always read back identically.
